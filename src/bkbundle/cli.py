@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -30,6 +31,7 @@ from .inversion import NotInvertible, inverse, is_invertible, neumann_inverse, p
 from .measure import EFunction
 from .sampling import derive_rng
 from .scenario import (
+    INTEGER_MINIMA,
     Scenario,
     encode_efunction,
     encode_section,
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _param(command: dict, key: str, flags: dict):
-    return command.get(key, flags[key if key != "tolerance" else "tolerance"])
+    return command.get(key, flags[key])
 
 
 def _summary_floats(fn: EFunction) -> dict:
@@ -149,28 +151,23 @@ def _cmd_perturb(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[s
 
 def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
     name = command["section"]
-    x = scenario.sections[name]
-    tol = float(_param(command, "tolerance", flags))
-    cap = int(_param(command, "cap", flags))
-    table = spectrum.spectrum_table(x, tol)
-    enum = spectrum.enumerate_selection_spectrum(x, cap=cap, tol=tol, table=table)
-    bound = x.norm() + tol
-    excess = 0.0
-    for a in enum.selections:
-        excess = max(excess, float((abs(a) - bound).real_array().max()))
     props = spectrum.selection_spectrum_properties(
-        x, samples=min(50, int(flags["samples"])), tol=tol, cap=cap, rng=rng
+        scenario.sections[name],
+        samples=min(50, int(flags["samples"])),
+        tol=float(_param(command, "tolerance", flags)),
+        cap=int(_param(command, "cap", flags)),
+        rng=rng,
     )
     detail = {
         "section": name,
         "fiber_spectra": {
-            atom: [[z.real, z.imag] for z in table.per_atom[atom]]
+            atom: [[z.real, z.imag] for z in props.table.per_atom[atom]]
             for atom in scenario.space.atoms
         },
-        "selections": [encode_efunction(a) for a in enum.selections],
-        "selection_count": enum.total_count,
-        "truncated": enum.truncated,
-        "norm_bound_excess": excess,
+        "selections": [encode_efunction(a) for a in props.enumeration.selections],
+        "selection_count": props.enumeration.total_count,
+        "truncated": props.enumeration.truncated,
+        "norm_bound_excess": props.norm_bound_excess,
         "properties": {
             "nonempty": props.nonempty,
             "bounded": props.bounded,
@@ -179,7 +176,7 @@ def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[
             "passed": props.passed,
         },
     }
-    if excess > 0.0:
+    if props.norm_bound_excess > 0.0:
         return "fail", {**detail, "message": "selection exceeds the norm bound"}
     if not props.passed:
         return "fail", {**detail, "message": "spectrum property suite failed"}
@@ -231,8 +228,7 @@ def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> t
     detail: dict = {"outcome": verdict.outcome, "checks_run": verdict.checks_run}
     if verdict.detail:
         detail["note"] = verdict.detail
-    if verdict.iso_errors is not None:
-        detail["isomorphism_errors"] = dict(verdict.iso_errors)
+    detail["isomorphism_errors"] = dict(verdict.iso_errors)
     if verdict.witness is not None:
         encoded = encode_section(verdict.witness)
         detail["witness"] = encoded
@@ -400,6 +396,11 @@ def _render_text(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        parser.error(f"--tolerance must be a finite number > 0, got {args.tolerance}")
+    for key, least in INTEGER_MINIMA.items():
+        if getattr(args, key) < least:
+            parser.error(f"--{key} must be an integer >= {least}, got {getattr(args, key)}")
     flags = {
         "tolerance": args.tolerance,
         "samples": args.samples,

@@ -170,6 +170,13 @@ def check_unit_support_hypothesis(
     # Every fiber is one-dimensional: the hypothesis holds and the
     # evaluation map IS the isomorphism.  Verify its properties on
     # fresh samples rather than asserting them.
+    if samples < 1:
+        return GMVerdict(
+            outcome="inconclusive",
+            checks_run=0,
+            tolerance=tol,
+            detail="no samples evaluated",
+        )
     max_norm_err = 0.0
     max_mult_err = 0.0
     max_lin_err = 0.0
@@ -280,7 +287,9 @@ def check_reverse_bound_hypothesis(
             err = float(np.abs((lhs - rhs)[ones_part.mask]).max())
             max_eq_err = max(max_eq_err, err)
             checks += 1
-        if max_eq_err <= ISO_TOL:
+        if checks == 0:
+            parts.append(PartVerdict(ones_part, "inconclusive", "no samples evaluated"))
+        elif max_eq_err <= ISO_TOL:
             parts.append(
                 PartVerdict(
                     ones_part,

@@ -28,6 +28,7 @@ the atom.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -50,6 +51,7 @@ __all__ = [
     "decode_section",
     "encode_section",
     "encode_efunction",
+    "INTEGER_MINIMA",
 ]
 
 COMMAND_NAMES = (
@@ -62,6 +64,9 @@ COMMAND_NAMES = (
     "reverse-bound",
     "verify",
 )
+
+# The least value of each integer command parameter.
+INTEGER_MINIMA = {"samples": 1, "cap": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,30 @@ def _expect(obj, kind, path: str, what: str):
     return obj
 
 
+def _finite_real(obj, path: str, what: str) -> float:
+    """A JSON number that is finite as a float; JSON text may also carry
+    ``NaN``, ``Infinity`` and integers too large for a float."""
+    if isinstance(obj, bool) or not isinstance(obj, Real):
+        raise ScenarioError(f"expected {what}", path)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected {what}, got a non-finite value", path)
+    return value
+
+
 def decode_complex(obj, path: str) -> complex:
-    """A complex literal is a two-element ``[re, im]`` list of numbers."""
+    """A complex literal is a two-element ``[re, im]`` list of finite
+    numbers."""
     pair = _expect(obj, list, path, "an [re, im] pair")
     if len(pair) != 2:
         raise ScenarioError(f"expected 2 entries, got {len(pair)}", path)
-    for part in pair:
-        if isinstance(part, bool) or not isinstance(part, Real):
-            raise ScenarioError("entries must be real numbers", path)
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(
+        _finite_real(pair[0], path, "finite real entries"),
+        _finite_real(pair[1], path, "finite real entries"),
+    )
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -165,15 +185,13 @@ def _decode_space(obj) -> AtomicMeasureSpace:
         if extra:
             raise ScenarioError(f"unknown key {sorted(extra)[0]!r}", f"space[{i}]")
         atom = _expect(row.get("atom"), str, f"space[{i}].atom", "a string")
-        weight = row.get("weight")
-        if isinstance(weight, bool) or not isinstance(weight, Real):
-            raise ScenarioError("expected a positive number", f"space[{i}].weight")
+        weight = _finite_real(row.get("weight"), f"space[{i}].weight", "a positive number")
         if atom in atoms:
             raise ScenarioError(f"duplicate atom {atom!r}", f"space[{i}].atom")
-        if not float(weight) > 0.0:
+        if not weight > 0.0:
             raise ScenarioError("weights must be positive", f"space[{i}].weight")
         atoms.append(atom)
-        weights.append(float(weight))
+        weights.append(weight)
     return AtomicMeasureSpace(tuple(atoms), tuple(weights))
 
 
@@ -240,26 +258,28 @@ def _decode_command(obj, path: str, scenario_sections: dict, space) -> dict:
     if name == "reconstruct" and "sections" in row:
         refs = _expect(row["sections"], list, f"{path}.sections", "a list of section names")
         for i, ref in enumerate(refs):
-            if ref not in scenario_sections:
+            if not isinstance(ref, str) or ref not in scenario_sections:
                 raise ScenarioError(f"unknown section {ref!r}", f"{path}.sections[{i}]")
     if name == "reverse-bound" and "bound" in row:
         table = _expect(row["bound"], dict, f"{path}.bound", "an atom-to-number object")
         for atom, value in table.items():
             if atom not in space.atoms:
                 raise ScenarioError(f"unknown atom {atom!r}", f"{path}.bound.{atom}")
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ScenarioError("expected a real number", f"{path}.bound.{atom}")
+            _finite_real(value, f"{path}.bound.{atom}", "a real number")
         missing = set(space.atoms) - set(table)
         if missing:
             raise ScenarioError(
                 f"missing value for atom {sorted(missing)[0]!r}", f"{path}.bound"
             )
-    for key in ("tolerance",):
-        if key in row and (isinstance(row[key], bool) or not isinstance(row[key], Real)):
-            raise ScenarioError("expected a number", f"{path}.{key}")
-    for key in ("samples", "cap", "seed"):
-        if key in row and (isinstance(row[key], bool) or not isinstance(row[key], int)):
-            raise ScenarioError("expected an integer", f"{path}.{key}")
+    if "tolerance" in row:
+        if not _finite_real(row["tolerance"], f"{path}.tolerance", "a number > 0") > 0.0:
+            raise ScenarioError("expected a number > 0", f"{path}.tolerance")
+    for key, least in INTEGER_MINIMA.items():
+        if key not in row:
+            continue
+        value = row[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ScenarioError(f"expected an integer >= {least}", f"{path}.{key}")
     return dict(row)
 
 
@@ -305,7 +325,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(exc), path) from exc
     try:
         data = json.loads(text)
@@ -313,4 +333,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", path
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past the int-conversion digit limit; nesting too deep
+        raise ScenarioError(f"invalid JSON: {exc}", path) from exc
     return parse_scenario(data, source=path)

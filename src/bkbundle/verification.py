@@ -2,8 +2,10 @@
 
 Each check draws its own deterministic stream (seed plus check name), so
 checks can run in any order, or alone, without shifting each other's
-samples.  A check returns a ``CheckOutcome`` with at most a handful of
-replayable witnesses; the report passes only when every check does.
+samples.  ``run_verification`` hands each check a fresh ``CheckOutcome``
+and that stream; the check counts its cases and records at most a
+handful of replayable witnesses.  The report passes only when every
+check does.
 
 The suite intentionally re-derives expected values through independent
 routes where the library offers two (series inverse against exact
@@ -33,6 +35,7 @@ from .measure import EFunction, Idempotent, mix
 from .sampling import (
     derive_rng,
     random_efunction,
+    random_fiber_element,
     random_invertible_section,
     random_partition,
     random_real_efunction,
@@ -40,7 +43,7 @@ from .sampling import (
     random_section_with_norm,
 )
 
-__all__ = ["CheckOutcome", "VerificationReport", "run_verification", "CHECK_NAMES"]
+__all__ = ["CheckOutcome", "VerificationReport", "run_verification"]
 
 
 @dataclass
@@ -81,9 +84,7 @@ def _distinct_descriptors(bundle: Bundle):
 # --- base algebra checks ---
 
 
-def _check_efunction_laws(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("efunction-algebra-laws", True, 0)
-    rng = derive_rng(seed, "efunction-algebra-laws")
+def _check_efunction_laws(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 200)):
         a = random_efunction(space, rng)
@@ -102,12 +103,9 @@ def _check_efunction_laws(bundle, sections, seed, samples, tol, cap):
             if err > 1e-12:
                 out.fail({"law": name, "error": err})
         out.cases += 1
-    return out
 
 
-def _check_mix_locality(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("mix-locality", True, 0)
-    rng = derive_rng(seed, "mix-locality")
+def _check_mix_locality(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 200)):
         p = random_partition(space, rng)
@@ -119,14 +117,11 @@ def _check_mix_locality(bundle, sections, seed, samples, tol, cap):
             ):
                 out.fail({"law": "selection is exact"})
         out.cases += 1
-    return out
 
 
-def _check_order_convergence(bundle, sections, seed, samples, tol, cap):
+def _check_order_convergence(out, rng, bundle, sections, samples, tol, cap):
     # On a finite atomic base, order convergence is pointwise convergence;
     # a geometric perturbation must converge at every atom and uniformly.
-    out = CheckOutcome("order-convergence", True, 0)
-    rng = derive_rng(seed, "order-convergence")
     space = bundle.space
     for _ in range(min(samples, 50)):
         a = random_efunction(space, rng)
@@ -140,17 +135,12 @@ def _check_order_convergence(bundle, sections, seed, samples, tol, cap):
         if sup_gaps[-1] > 1e-15 * max(1.0, b.max_abs()):
             out.fail({"law": "limit reached", "residual": sup_gaps[-1]})
         out.cases += 1
-    return out
 
 
 # --- fiber checks ---
 
 
-def _check_fiber_norm_axioms(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("fiber-norm-axioms", True, 0)
-    rng = derive_rng(seed, "fiber-norm-axioms")
-    from .sampling import random_fiber_element
-
+def _check_fiber_norm_axioms(out, rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
         if FiberElement.unit(desc).norm() != 1.0:
             out.fail({"kind": desc.label(), "law": "unit norm"})
@@ -168,14 +158,9 @@ def _check_fiber_norm_axioms(bundle, sections, seed, samples, tol, cap):
             if err > 1e-9 * scale:
                 out.fail({"kind": desc.label(), "error": err})
             out.cases += 1
-    return out
 
 
-def _check_fiber_submultiplicative(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("fiber-submultiplicative", True, 0)
-    rng = derive_rng(seed, "fiber-submultiplicative")
-    from .sampling import random_fiber_element
-
+def _check_fiber_submultiplicative(out, rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
         for _ in range(max(samples, 1000)):
             a = random_fiber_element(desc, rng)
@@ -185,14 +170,9 @@ def _check_fiber_submultiplicative(bundle, sections, seed, samples, tol, cap):
             if gap > 1e-9 * max(1.0, a.norm() * b.norm()):
                 out.fail({"kind": desc.label(), "gap": gap})
             out.cases += 1
-    return out
 
 
-def _check_fiber_spectral_radius(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("fiber-spectral-radius", True, 0)
-    rng = derive_rng(seed, "fiber-spectral-radius")
-    from .sampling import random_fiber_element
-
+def _check_fiber_spectral_radius(out, rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
         for _ in range(min(samples, 100)):
             a = random_fiber_element(desc, rng)
@@ -202,14 +182,9 @@ def _check_fiber_spectral_radius(bundle, sections, seed, samples, tol, cap):
             if gap > 1e-8:
                 out.fail({"kind": desc.label(), "excess": gap})
             out.cases += 1
-    return out
 
 
-def _check_fiber_inverse_involution(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("fiber-inverse-involution", True, 0)
-    rng = derive_rng(seed, "fiber-inverse-involution")
-    from .sampling import random_fiber_element
-
+def _check_fiber_inverse_involution(out, rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
         count = 0
         while count < min(samples, 200):
@@ -230,15 +205,12 @@ def _check_fiber_inverse_involution(bundle, sections, seed, samples, tol, cap):
             if err > 1e-8 * max(1.0, a.norm()):
                 out.fail({"kind": desc.label(), "error": err})
             out.cases += 1
-    return out
 
 
 # --- section algebra checks ---
 
 
-def _check_bk_axioms(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("bk-algebra-axioms", True, 0)
-    rng = derive_rng(seed, "bk-algebra-axioms")
+def _check_bk_axioms(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     ones = space.ones()
     unit_gap = (bundle.unit().norm() - ones).max_abs()
@@ -267,12 +239,9 @@ def _check_bk_axioms(bundle, sections, seed, samples, tol, cap):
         if float(sub.max()) > 1e-9 * scale:
             out.fail({"law": "submultiplicative", "error": float(sub.max())})
         out.cases += 1
-    return out
 
 
-def _check_norm_decomposition(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("norm-decomposition", True, 0)
-    rng = derive_rng(seed, "norm-decomposition")
+def _check_norm_decomposition(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         u = random_section(bundle, rng)
@@ -290,12 +259,9 @@ def _check_norm_decomposition(bundle, sections, seed, samples, tol, cap):
         if err > 1e-10 * max(1.0, norm.max_abs()):
             out.fail({"error": err})
         out.cases += 1
-    return out
 
 
-def _check_lifting_axioms(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("lifting-axioms", True, 0)
-    rng = derive_rng(seed, "lifting-axioms")
+def _check_lifting_axioms(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         u = random_section(bundle, rng)
@@ -315,7 +281,6 @@ def _check_lifting_axioms(bundle, sections, seed, samples, tol, cap):
             if err > 1e-12:
                 out.fail({"law": name, "error": err})
         out.cases += 1
-    return out
 
 
 # --- inversion checks ---
@@ -327,9 +292,7 @@ def _contraction_section(bundle, rng, top=0.9):
     return random_section_with_norm(bundle, rng, profile)
 
 
-def _check_neumann_vs_exact(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("neumann-vs-exact", True, 0)
-    rng = derive_rng(seed, "neumann-vs-exact")
+def _check_neumann_vs_exact(out, rng, bundle, sections, samples, tol, cap):
     e = bundle.unit()
     for _ in range(min(samples, 200)):
         x = _contraction_section(bundle, rng)
@@ -343,12 +306,9 @@ def _check_neumann_vs_exact(bundle, sections, seed, samples, tol, cap):
         if gap > 2.0 * tol:
             out.fail({"gap": gap})
         out.cases += 1
-    return out
 
 
-def _check_neumann_tail_bound(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("neumann-tail-bound", True, 0)
-    rng = derive_rng(seed, "neumann-tail-bound")
+def _check_neumann_tail_bound(out, rng, bundle, sections, samples, tol, cap):
     for _ in range(min(samples, 200)):
         x = _contraction_section(bundle, rng)
         cert = neumann_inverse(x, tol)
@@ -359,7 +319,6 @@ def _check_neumann_tail_bound(bundle, sections, seed, samples, tol, cap):
         if float(cert.residual.real_array().max()) > tol:
             out.fail({"residual": float(cert.residual.real_array().max())})
         out.cases += 1
-    return out
 
 
 def _admissible_pair(bundle, rng):
@@ -374,9 +333,7 @@ def _admissible_pair(bundle, rng):
     return x, h
 
 
-def _check_perturbation_bound(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("perturbation-bound", True, 0)
-    rng = derive_rng(seed, "perturbation-bound")
+def _check_perturbation_bound(out, rng, bundle, sections, samples, tol, cap):
     for _ in range(samples):
         x, h = _admissible_pair(bundle, rng)
         try:
@@ -389,14 +346,11 @@ def _check_perturbation_bound(bundle, sections, seed, samples, tol, cap):
         if slack < -1e-9:
             out.fail({"slack": slack})
         out.cases += 1
-    return out
 
 
-def _check_inversion_continuity(bundle, sections, seed, samples, tol, cap):
+def _check_inversion_continuity(out, rng, bundle, sections, samples, tol, cap):
     # x_n -> x entails inverse(x_n) -> inverse(x), at the quantitative
     # rate of the perturbation bound.
-    out = CheckOutcome("inversion-continuity", True, 0)
-    rng = derive_rng(seed, "inversion-continuity")
     for _ in range(min(samples, 25)):
         x, h = _admissible_pair(bundle, rng)
         xinv = inverse(x)
@@ -411,12 +365,9 @@ def _check_inversion_continuity(bundle, sections, seed, samples, tol, cap):
         if diffs[-1] > max(1e-9, diffs[0] * 2.0 ** (-10)):
             out.fail({"law": "vanishing limit", "diffs": diffs})
         out.cases += 1
-    return out
 
 
-def _check_inversion_mixing(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("inversion-mixing", True, 0)
-    rng = derive_rng(seed, "inversion-mixing")
+def _check_inversion_mixing(out, rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         p = random_partition(space, rng)
@@ -432,18 +383,15 @@ def _check_inversion_mixing(bundle, sections, seed, samples, tol, cap):
         if gap > 1e-10:
             out.fail({"gap": gap})
         out.cases += 1
-    return out
 
 
 # --- spectrum checks ---
 
 
-def _check_membership_crosscheck(bundle, sections, seed, samples, tol, cap):
+def _check_membership_crosscheck(out, rng, bundle, sections, samples, tol, cap):
     # Membership through eigenvalue tables must agree with membership
     # through non-invertibility of a e - x.  Draws avoid the tolerance
     # boundary: either exact selections or generic points.
-    out = CheckOutcome("spectrum-membership-crosscheck", True, 0)
-    rng = derive_rng(seed, "spectrum-membership-crosscheck")
     space = bundle.space
     done = 0
     while done < samples:
@@ -483,13 +431,10 @@ def _check_membership_crosscheck(bundle, sections, seed, samples, tol, cap):
                 )
             done += 1
             out.cases += 1
-    return out
 
 
-def _check_spectrum_scaling(bundle, sections, seed, samples, tol, cap):
+def _check_spectrum_scaling(out, rng, bundle, sections, samples, tol, cap):
     # Membership is stable under the normalizing rescale by (1 + norm)^-1.
-    out = CheckOutcome("spectrum-scaling", True, 0)
-    rng = derive_rng(seed, "spectrum-scaling")
     space = bundle.space
     for _ in range(min(samples, 100)):
         x = random_section(bundle, rng)
@@ -515,14 +460,11 @@ def _check_spectrum_scaling(bundle, sections, seed, samples, tol, cap):
                 spectrum.selection_spectrum_contains(xs, c * b, tol, table=ts):
             out.fail({"law": "scaling preserves non-members"})
         out.cases += 1
-    return out
 
 
-def _check_selection_implies_somewhere(bundle, sections, seed, samples, tol, cap):
+def _check_selection_implies_somewhere(out, rng, bundle, sections, samples, tol, cap):
     # Every atomwise selection is in particular a spectrum member; the
     # reverse containment is not asserted.
-    out = CheckOutcome("selection-implies-somewhere", True, 0)
-    rng = derive_rng(seed, "selection-implies-somewhere")
     for _ in range(min(samples, 50)):
         x = random_section(bundle, rng)
         table = spectrum.spectrum_table(x, tol)
@@ -531,12 +473,9 @@ def _check_selection_implies_somewhere(bundle, sections, seed, samples, tol, cap
             if not spectrum.spectrum_contains(x, a, tol, table=table):
                 out.fail({"law": "selection is a member"})
             out.cases += 1
-    return out
 
 
-def _check_selection_properties(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("selection-spectrum-properties", True, 0)
-    rng = derive_rng(seed, "selection-spectrum-properties")
+def _check_selection_properties(out, rng, bundle, sections, samples, tol, cap):
     for _ in range(5):
         x = random_section(bundle, rng)
         report = spectrum.selection_spectrum_properties(
@@ -545,15 +484,12 @@ def _check_selection_properties(bundle, sections, seed, samples, tol, cap):
         if not report.passed:
             out.fail({"failures": report.failures})
         out.cases += 1
-    return out
 
 
 # --- representation checks ---
 
 
-def _check_quotient_equality(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("quotient-norm-equality", True, 0)
-    rng = derive_rng(seed, "quotient-norm-equality")
+def _check_quotient_equality(out, rng, bundle, sections, samples, tol, cap):
     pool = list(sections.values()) if sections else []
     for _ in range(min(samples, 50)):
         u = random_section(bundle, rng)
@@ -568,13 +504,10 @@ def _check_quotient_equality(bundle, sections, seed, samples, tol, cap):
             if gap > 1e-10:
                 out.fail({"atom": atom, "gap": gap})
             out.cases += 1
-    return out
 
 
-def _check_quotient_ideal(bundle, sections, seed, samples, tol, cap):
+def _check_quotient_ideal(out, rng, bundle, sections, samples, tol, cap):
     # The null space of the seminorm at an atom absorbs products.
-    out = CheckOutcome("quotient-ideal", True, 0)
-    rng = derive_rng(seed, "quotient-ideal")
     space = bundle.space
     for _ in range(min(samples, 100)):
         atom = space.atoms[int(rng.integers(0, len(space)))]
@@ -590,12 +523,9 @@ def _check_quotient_ideal(bundle, sections, seed, samples, tol, cap):
         if not fiber.ideal_contains(v * in_ideal):
             out.fail({"law": "ideal absorbs products (left)"})
         out.cases += 1
-    return out
 
 
-def _check_reconstruction(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("reconstruction", True, 0)
-    rng = derive_rng(seed, "reconstruction")
+def _check_reconstruction(out, rng, bundle, sections, samples, tol, cap):
     pool = list(sections.values()) if sections else []
     while len(pool) < 10:
         pool.append(random_section(bundle, rng))
@@ -607,7 +537,6 @@ def _check_reconstruction(bundle, sections, seed, samples, tol, cap):
     for c in report.checks:
         if not c.passed:
             out.fail({"check": c.name, "error": c.max_error})
-    return out
 
 
 def _hk_module_for(bundle):
@@ -618,9 +547,7 @@ def _hk_module_for(bundle):
     return representation.HKModule(bundle.space, dims)
 
 
-def _check_hk_inner_axioms(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("hk-inner-axioms", True, 0)
-    rng = derive_rng(seed, "hk-inner-axioms")
+def _check_hk_inner_axioms(out, rng, bundle, sections, samples, tol, cap):
     module = _hk_module_for(bundle)
     space = bundle.space
     for _ in range(min(samples, 200)):
@@ -648,12 +575,9 @@ def _check_hk_inner_axioms(bundle, sections, seed, samples, tol, cap):
         if representation.hk_norm(module.zero()).max_abs() != 0.0:
             out.fail({"law": "definiteness"})
         out.cases += 1
-    return out
 
 
-def _check_hk_operator_norms(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("hk-operator-norms", True, 0)
-    rng = derive_rng(seed, "hk-operator-norms")
+def _check_hk_operator_norms(out, rng, bundle, sections, samples, tol, cap):
     module = _hk_module_for(bundle)
     opbundle, report = representation.operator_algebra(
         module, operators=3, samples=10_000, tol=1e-6, rng=rng
@@ -675,15 +599,12 @@ def _check_hk_operator_norms(bundle, sections, seed, samples, tol, cap):
         if gap > 1e-9 * max(1.0, float(rhs.max())):
             out.fail({"law": "operator bound", "gap": gap})
         out.cases += 1
-    return out
 
 
 # --- hypothesis checker checks ---
 
 
-def _check_unit_support_verdict(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("unit-support-verdict", True, 0)
-    rng = derive_rng(seed, "unit-support-verdict")
+def _check_unit_support_verdict(out, rng, bundle, sections, samples, tol, cap):
     verdict = gelfand_mazur.check_unit_support_hypothesis(
         bundle, samples=max(20, samples // 10), tol=tol, rng=rng
     )
@@ -700,12 +621,9 @@ def _check_unit_support_verdict(bundle, sections, seed, samples, tol, cap):
         if w is not None and is_invertible(w, tol):
             out.fail({"law": "witness not invertible"})
     out.detail = verdict.outcome
-    return out
 
 
-def _check_reverse_bound_verdict(bundle, sections, seed, samples, tol, cap):
-    out = CheckOutcome("reverse-bound-verdict", True, 0)
-    rng = derive_rng(seed, "reverse-bound-verdict")
+def _check_reverse_bound_verdict(out, rng, bundle, sections, samples, tol, cap):
     verdict = gelfand_mazur.check_reverse_bound_hypothesis(
         bundle, samples=max(20, samples // 10), tol=tol, rng=rng
     )
@@ -733,39 +651,38 @@ def _check_reverse_bound_verdict(bundle, sections, seed, samples, tol, cap):
             ):
                 out.fail({"law": "witness survives on the part"})
     out.detail = verdict.outcome
-    return out
 
 
-_CHECKS = [
-    _check_efunction_laws,
-    _check_mix_locality,
-    _check_order_convergence,
-    _check_fiber_norm_axioms,
-    _check_fiber_submultiplicative,
-    _check_fiber_spectral_radius,
-    _check_fiber_inverse_involution,
-    _check_bk_axioms,
-    _check_norm_decomposition,
-    _check_lifting_axioms,
-    _check_neumann_vs_exact,
-    _check_neumann_tail_bound,
-    _check_perturbation_bound,
-    _check_inversion_continuity,
-    _check_inversion_mixing,
-    _check_membership_crosscheck,
-    _check_spectrum_scaling,
-    _check_selection_implies_somewhere,
-    _check_selection_properties,
-    _check_quotient_equality,
-    _check_quotient_ideal,
-    _check_reconstruction,
-    _check_hk_inner_axioms,
-    _check_hk_operator_norms,
-    _check_unit_support_verdict,
-    _check_reverse_bound_verdict,
-]
-
-CHECK_NAMES = tuple(f.__name__.removeprefix("_check_").replace("_", "-") for f in _CHECKS)
+# The suite, in report order: each check's name is its report entry and
+# the label of its random stream.
+_CHECKS = {
+    "efunction-algebra-laws": _check_efunction_laws,
+    "mix-locality": _check_mix_locality,
+    "order-convergence": _check_order_convergence,
+    "fiber-norm-axioms": _check_fiber_norm_axioms,
+    "fiber-submultiplicative": _check_fiber_submultiplicative,
+    "fiber-spectral-radius": _check_fiber_spectral_radius,
+    "fiber-inverse-involution": _check_fiber_inverse_involution,
+    "bk-algebra-axioms": _check_bk_axioms,
+    "norm-decomposition": _check_norm_decomposition,
+    "lifting-axioms": _check_lifting_axioms,
+    "neumann-vs-exact": _check_neumann_vs_exact,
+    "neumann-tail-bound": _check_neumann_tail_bound,
+    "perturbation-bound": _check_perturbation_bound,
+    "inversion-continuity": _check_inversion_continuity,
+    "inversion-mixing": _check_inversion_mixing,
+    "spectrum-membership-crosscheck": _check_membership_crosscheck,
+    "spectrum-scaling": _check_spectrum_scaling,
+    "selection-implies-somewhere": _check_selection_implies_somewhere,
+    "selection-spectrum-properties": _check_selection_properties,
+    "quotient-norm-equality": _check_quotient_equality,
+    "quotient-ideal": _check_quotient_ideal,
+    "reconstruction": _check_reconstruction,
+    "hk-inner-axioms": _check_hk_inner_axioms,
+    "hk-operator-norms": _check_hk_operator_norms,
+    "unit-support-verdict": _check_unit_support_verdict,
+    "reverse-bound-verdict": _check_reverse_bound_verdict,
+}
 
 
 def run_verification(
@@ -779,10 +696,15 @@ def run_verification(
     """Run the whole invariant suite against a bundle.
 
     ``sections`` (named, e.g. from a scenario file) join the random pool
-    where that makes sense.  Same seed, same report, bit for bit.
+    where that makes sense.  Same seed, same report, bit for bit.  A
+    check that evaluated no case fails: a pass needs evidence.
     """
     sections = dict(sections or {})
     report = VerificationReport(seed=seed, samples=samples, tolerance=tol)
-    for fn in _CHECKS:
-        report.checks.append(fn(bundle, sections, seed, samples, tol, cap))
+    for name, check in _CHECKS.items():
+        out = CheckOutcome(name, True, 0)
+        check(out, derive_rng(seed, name), bundle, sections, samples, tol, cap)
+        if out.cases == 0:
+            out.fail({"law": "at least one case evaluated"})
+        report.checks.append(out)
     return report
