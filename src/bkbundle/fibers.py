@@ -103,9 +103,10 @@ class FiberDescriptor:
 
 
 class FiberElement:
-    """An element of one concrete fiber algebra.  Immutable."""
+    """An element of one concrete fiber algebra.  Immutable; its norm is
+    computed on first use and kept."""
 
-    __slots__ = ("descriptor", "_data")
+    __slots__ = ("descriptor", "_data", "_norm")
 
     def __init__(self, descriptor: FiberDescriptor, data):
         arr = np.asarray(data, dtype=complex).copy()
@@ -119,6 +120,7 @@ class FiberElement:
         arr.setflags(write=False)
         self.descriptor = descriptor
         self._data = arr
+        self._norm = None
 
     # --- constructors ---
 
@@ -211,13 +213,16 @@ class FiberElement:
 
     def norm(self) -> float:
         """The Banach algebra norm: modulus, operator norm, or sup norm."""
-        if self.descriptor.kind == "scalar":
-            return float(abs(self._data))
-        if self.descriptor.kind == "function":
-            return float(np.abs(self._data).max())
-        if self.descriptor.size == 1:
-            return float(abs(self._data[0, 0]))
-        return linalg.operator_norm(self._data)
+        if self._norm is None:
+            if self.descriptor.kind == "scalar":
+                self._norm = float(abs(self._data))
+            elif self.descriptor.kind == "function":
+                self._norm = float(np.abs(self._data).max())
+            elif self.descriptor.size == 1:
+                self._norm = float(abs(self._data[0, 0]))
+            else:
+                self._norm = linalg.operator_norm(self._data)
+        return self._norm
 
     def smallest_singular_value(self) -> float:
         if self.descriptor.kind == "scalar":
@@ -230,9 +235,10 @@ class FiberElement:
         """Multiplicative inverse, or the falsy NotInvertible value.
 
         Not invertible means: smallest singular value <= tol.  For the
-        matrix kind the result is certified by its residual; one Newton
-        refinement step is applied if elimination alone misses the
-        certificate.
+        matrix kind the result is certified by its left and right
+        residuals R, first by frobenius(R) >= norm(R) and by the operator
+        norms only when that bound misses ``tol``; a Newton refinement
+        step follows each miss, for at most three checks.
         """
         if self.smallest_singular_value() <= tol:
             return NotInvertible()
@@ -246,10 +252,10 @@ class FiberElement:
         inv = linalg.gauss_jordan_inverse(a)
         eye = np.eye(n)
         for _ in range(3):
-            residual = max(
-                linalg.operator_norm(a @ inv - eye),
-                linalg.operator_norm(inv @ a - eye),
-            )
+            left, right = a @ inv - eye, inv @ a - eye
+            if max(linalg.frobenius(left), linalg.frobenius(right)) <= tol:
+                return FiberElement(self.descriptor, inv)
+            residual = max(linalg.operator_norm(left), linalg.operator_norm(right))
             if residual <= tol:
                 return FiberElement(self.descriptor, inv)
             inv = inv @ (2.0 * eye - a @ inv)

@@ -4,9 +4,9 @@ Two routes to an inverse coexist deliberately.  ``inverse`` works
 atomwise through exact fiber inversion and answers ``NotInvertible``
 (a value, not an exception) when some fiber fails the singular value
 threshold.  ``neumann_inverse`` sums the geometric series for
-``(e - x)^{-1}`` under the strict contraction hypothesis and returns a
-certificate: the truncation order, the achieved residual, and the slack
-in the function-valued tail bound
+``(e - x)^{-1}`` under the strict contraction hypothesis, by repeated
+squaring, and returns a certificate: the order summed, the achieved
+residual, and both sides of the function-valued tail bound
 
     norm((e - x)^{-1} - e)  <=  norm(x) * (1 - norm(x))^{-1}.
 
@@ -53,16 +53,22 @@ class InverseCertificate:
 
     ``residual`` is the function-valued defect ``norm(x * inv - e)``
     for the element that was inverted.  ``truncation_order`` is the
-    series order used, or the string ``"exact"`` when the series
-    terminated early because a power vanished.  ``bound_slack`` is the
-    pointwise gap (bound - achieved) of the certificate's inequality;
-    nonnegative up to rounding.
+    highest power of the series that was summed, or the string
+    ``"exact"`` when the series terminated early because a power
+    vanished.  ``achieved`` and ``bound`` are the two sides of the
+    certificate's pointwise inequality ``achieved <= bound``;
+    ``bound_slack`` is their gap, nonnegative up to rounding.
     """
 
     inverse: Section
     residual: EFunction
     truncation_order: int | str
-    bound_slack: EFunction
+    achieved: EFunction
+    bound: EFunction
+
+    @property
+    def bound_slack(self) -> EFunction:
+        return self.bound - self.achieved
 
 
 def _strict_contraction_order(r: float, tol: float) -> int:
@@ -81,9 +87,12 @@ def _strict_contraction_order(r: float, tol: float) -> int:
 def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     """Certified inverse of ``e - x`` by summing the geometric series.
 
-    Requires ``x.norm() < 1`` strictly at every atom.  The truncation
-    order is chosen atomwise from the tail bound and the maximum is used
-    for one global summation; orders beyond 10**6 are refused.
+    Requires ``x.norm() < 1`` strictly at every atom.  The required
+    order N is chosen atomwise from the tail bound and the maximum is
+    used for all atoms; orders beyond 10**6 are refused.  The partial sum
+    is formed by repeated squaring, (e + x)(e + x^2)(e + x^4)..., until
+    the highest power summed, 2^k - 1, reaches N: about 2 log2(N)
+    section products instead of N.
     """
     bundle = x.bundle
     space = bundle.space
@@ -110,14 +119,14 @@ def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
 
     e = bundle.unit()
     total = e
-    power = e
-    truncation: int | str = order
-    for k in range(1, order + 1):
-        power = power * x
-        if power.is_zero():
-            truncation = "exact"
-            break
-        total = total + power
+    power = x  # x^(summed + 1), a power of two
+    summed = 0  # total is e + x + ... + x^summed
+    while summed < order and not power.is_zero():
+        total = total + total * power
+        summed = 2 * summed + 1
+        if summed < order:
+            power = power * power
+    truncation = summed if summed >= order else "exact"
 
     residual = ((e - x) * total - e).norm()
     lhs = (total - e).norm()
@@ -133,7 +142,7 @@ def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
             "tail bound violated beyond rounding slack "
             f"({slack.real_array().min():.3e})"
         )
-    return InverseCertificate(total, residual, truncation, slack)
+    return InverseCertificate(total, residual, truncation, lhs, rhs)
 
 
 def inverse(x: Section, tol: float = SIGMA_TOL) -> Section | NotInvertible:
@@ -170,8 +179,8 @@ def perturbed_inverse(
     Requires ``x`` invertible and ``2 * norm(h) * norm(x^{-1}) < 1`` at
     every atom.  Writes ``x + h = (e + h x^{-1}) x`` and inverts the
     bracket with the geometric series, so the result is
-    ``x^{-1} * (e + h x^{-1})^{-1}``.  The certificate's ``bound_slack``
-    is the pointwise slack of the perturbation inequality above.
+    ``x^{-1} * (e + h x^{-1})^{-1}``.  The certificate's ``achieved``
+    and ``bound`` are the two sides of the perturbation inequality above.
     """
     if h.bundle != x.bundle:
         raise PreconditionError("x and h live over different bundles")
@@ -215,7 +224,7 @@ def perturbed_inverse(
             "perturbation bound violated beyond rounding slack "
             f"({slack.real_array().min():.3e})"
         )
-    return InverseCertificate(result, residual, series.truncation_order, slack)
+    return InverseCertificate(result, residual, series.truncation_order, lhs, rhs)
 
 
 def inverse_of_mix(

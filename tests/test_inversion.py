@@ -19,6 +19,7 @@ from bkbundle import (
     perturbed_inverse,
 )
 from bkbundle.errors import PreconditionError
+from bkbundle.inversion import _strict_contraction_order
 from bkbundle.sampling import (
     derive_rng,
     random_invertible_section,
@@ -258,3 +259,35 @@ def test_inverse_of_mix_rejects_singular_member():
     p = PartitionOfUnity.from_labels(space, [0, 1])
     with pytest.raises(PreconditionError):
         inverse_of_mix(p, [B.unit(), singular])
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_series_order_is_the_first_power_of_two_past_the_required_order(
+    mixed_bundle, r, tol
+):
+    rng = derive_rng(0, "inversion", "doubling", str(r), str(tol))
+    space = mixed_bundle.space
+    profile = space.efunction({a: r * rng.uniform(0.5, 1.0) for a in space.atoms})
+    x = random_section_with_norm(mixed_bundle, rng, profile)
+    required = max(
+        _strict_contraction_order(float(v), tol) for v in x.norm().real_array()
+    )
+    cert = neumann_inverse(x, tol=tol)
+    order = cert.truncation_order
+    assert isinstance(order, int) and order & (order + 1) == 0
+    assert (order - 1) // 2 < required <= order
+    assert cert.residual.max_abs() <= tol + 1e-15
+
+
+def test_nilpotent_index_three_series_terminates():
+    # x = 0.5 * shift: x^3 = 0 while x^2 != 0, so the squared power x^4
+    # vanishes after the second factor (e + x^2)
+    space = AtomicMeasureSpace.from_weights({"p": 1.0})
+    B = Bundle.of(space, {"p": FiberDescriptor.matrix(3)})
+    x = B.section({"p": FiberElement.matrix(0.5 * np.eye(3, k=1))})
+    assert not (x * x).is_zero() and (x * x * x).is_zero()
+    cert = neumann_inverse(x, tol=1e-12)
+    assert cert.truncation_order == "exact"
+    want = B.unit() + x + x * x
+    assert (cert.inverse - want).sup_norm() <= 1e-14

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from bkbundle import load_scenario, parse_scenario
-from bkbundle.cli import main
+from bkbundle.cli import execute, main
 from bkbundle.errors import ScenarioError
+from bkbundle.inversion import _strict_contraction_order
 from bkbundle.scenario import decode_section
 
 BASE = {
@@ -262,3 +263,25 @@ def test_main_entrypoint_runs_in_process(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["passed"] is True
+
+
+def test_invert_near_the_contraction_boundary():
+    # norm(e - u) = 0.9999 needs series order 276,296; repeated squaring
+    # sums 2^19 - 1 terms in 19 factors
+    u = 1.0 - 0.9999j
+    doc = {
+        "space": [{"atom": "w0", "weight": 1.0}],
+        "fibers": {"w0": {"kind": "scalar"}},
+        "sections": {"u": {"w0": [u.real, u.imag]}},
+        "commands": [{"command": "invert", "section": "u", "tolerance": 1e-8}],
+    }
+    sc = parse_scenario(doc)
+    flags = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
+    (result,) = execute(sc, sc.commands, flags)["results"]
+    assert result["status"] == "pass"
+    detail = result["detail"]
+    assert detail["method"] == "neumann"
+    assert _strict_contraction_order(0.9999, 1e-8) <= detail["truncation_order"] == 2**19 - 1
+    assert detail["residual"] <= 1e-8
+    got = complex(*detail["inverse"]["w0"])
+    assert abs(got - 1.0 / u) <= 1e-8

@@ -1,0 +1,120 @@
+"""Work-count guards: the Neumann series takes a logarithmic number of
+section products, a fiber norm is computed once, a well-conditioned
+inverse is certified without operator norms, and ``perturb`` inverts
+once.  Counts come from monkeypatched wrappers; nothing here is timed."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bkbundle.cli
+import bkbundle.inversion
+import bkbundle.linalg
+from bkbundle import FiberDescriptor, FiberElement, Section, inverse, neumann_inverse
+from bkbundle.cli import execute
+from bkbundle.inversion import _strict_contraction_order
+from bkbundle.sampling import derive_rng, random_fiber_element, random_section_with_norm
+from bkbundle.scenario import decode_section, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FLAGS = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def well_conditioned(n, rng):
+    """An n x n matrix with singular values in [1, 2]."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q1 * rng.uniform(1.0, 2.0, size=n)) @ q2
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 0.999])
+def test_neumann_section_products_are_logarithmic(mixed_bundle, monkeypatch, r):
+    rng = derive_rng(0, "work-counts", "neumann", str(r))
+    space = mixed_bundle.space
+    x = random_section_with_norm(mixed_bundle, rng, space.constant(r))
+    required = max(
+        _strict_contraction_order(float(v), 1e-8) for v in x.norm().real_array()
+    )
+    products = counting(monkeypatch, Section, "__mul__")
+    neumann_inverse(x, tol=1e-8)
+    # one product for each factor (e + x^(2^j)), one per squaring and one
+    # for the residual (e - x) * total
+    assert len(products) <= 2 * math.ceil(math.log2(required + 1))
+
+
+def test_second_fiber_norm_makes_no_operator_norm_call(monkeypatch):
+    el = random_fiber_element(FiberDescriptor.matrix(5), derive_rng(0, "work-counts", "memo"))
+    calls = counting(monkeypatch, bkbundle.linalg, "operator_norm")
+    first = el.norm()
+    assert len(calls) == 1
+    assert el.norm() == first
+    assert len(calls) == 1
+
+
+def test_well_conditioned_inverse_makes_no_operator_norm_call(monkeypatch):
+    a = well_conditioned(8, derive_rng(0, "work-counts", "frobenius"))
+    calls = counting(monkeypatch, bkbundle.linalg, "operator_norm")
+    got = FiberElement.matrix(a).inverse()
+    assert calls == []
+    assert np.array_equal(got.data, bkbundle.linalg.gauss_jordan_inverse(a))
+
+
+def test_inverse_falls_back_to_operator_norms_between_the_two_bounds(monkeypatch):
+    # with tol strictly between the operator and Frobenius norms of the
+    # residuals, the Frobenius test misses and the operator norms accept
+    # the elimination inverse without refinement
+    a = well_conditioned(8, derive_rng(0, "work-counts", "fallback"))
+    inv = bkbundle.linalg.gauss_jordan_inverse(a)
+    residuals = (a @ inv - np.eye(8), inv @ a - np.eye(8))
+    operator = max(bkbundle.linalg.operator_norm(m) for m in residuals)
+    frobenius = max(bkbundle.linalg.frobenius(m) for m in residuals)
+    tol = math.sqrt(operator * frobenius)
+    assert 0.0 < operator < tol < frobenius
+    calls = counting(monkeypatch, bkbundle.linalg, "operator_norm")
+    got = FiberElement.matrix(a).inverse(tol)
+    assert len(calls) == 2
+    assert np.array_equal(got.data, inv)
+
+
+@pytest.mark.parametrize("name", ["scalar", "mixed"])
+def test_perturb_inverts_once_and_reports_the_certificate(monkeypatch, name):
+    scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+    (command,) = [c for c in scenario.commands if c["command"] == "perturb"]
+    exact = counting(monkeypatch, bkbundle.inversion, "inverse")
+    # the CLI binds its own name for ``inverse``; count both call sites
+    monkeypatch.setattr(bkbundle.cli, "inverse", bkbundle.inversion.inverse)
+    report = execute(scenario, [command], FLAGS)
+    (result,) = report["results"]
+    assert result["status"] == "pass"
+    assert len(exact) == 1
+    monkeypatch.undo()
+
+    detail = json.loads(json.dumps(result["detail"]))
+    x = scenario.sections[command["section"]]
+    h = scenario.sections[command["perturbation"]]
+    xinv = inverse(x)
+    got = decode_section(scenario.bundle, detail["inverse"], "inverse")
+    difference = (got - xinv).norm()
+    bound = 2.0 * xinv.norm() * xinv.norm() * h.norm()
+    for atom in scenario.space.atoms:
+        i = scenario.space.index(atom)
+        assert detail["difference_norm"][atom] == pytest.approx(
+            difference.values[i].real, rel=1e-15
+        )
+        assert detail["bound"][atom] == pytest.approx(bound.values[i].real, rel=1e-15)
