@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -30,11 +29,13 @@ from .inversion import NotInvertible, inverse, is_invertible, neumann_inverse, p
 from .measure import EFunction
 from .sampling import derive_rng
 from .scenario import (
-    INTEGER_MINIMA,
+    COMMANDS,
     Scenario,
+    check_parameters,
+    decode_command,
+    decode_section,
     encode_efunction,
     encode_section,
-    decode_section,
     load_scenario,
 )
 
@@ -53,28 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("scenario", help="path to a scenario JSON file")
-    shared.add_argument("--tolerance", type=float, default=_DEFAULTS["tolerance"])
-    shared.add_argument("--samples", type=int, default=_DEFAULTS["samples"])
-    shared.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
-    shared.add_argument("--cap", type=int, default=_DEFAULTS["cap"])
+    for key, default in _DEFAULTS.items():
+        shared.add_argument(f"--{key}", type=type(default), default=default)
     shared.add_argument("--report", choices=("json", "text"), default="json")
     shared.add_argument("--out", help="also write the report to this path")
 
-    sub.add_parser("run", parents=[shared], help="execute the scenario's command list")
-    p = sub.add_parser("norms", parents=[shared], help="norm of one section")
-    p.add_argument("--section", required=True)
-    p = sub.add_parser("invert", parents=[shared], help="certified inverse of one section")
-    p.add_argument("--section", required=True)
-    p = sub.add_parser("perturb", parents=[shared], help="perturbed inverse with its bound")
-    p.add_argument("--section", required=True)
-    p.add_argument("--perturbation", required=True)
-    p = sub.add_parser("spectrum", parents=[shared], help="fiberwise spectra and selections")
-    p.add_argument("--section", required=True)
-    p = sub.add_parser("reconstruct", parents=[shared], help="rebuild the bundle from sections")
-    p.add_argument("--sections", help="comma-separated section names (default: all)")
-    sub.add_parser("gelfand-mazur", parents=[shared], help="unit-support invertibility check")
-    sub.add_parser("reverse-bound", parents=[shared], help="reverse norm bound check")
-    sub.add_parser("verify", parents=[shared], help="full invariant suite")
+    sub.add_parser("run", parents=[shared], help="Execute the scenario's command list.")
+    for name, params in COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=_HANDLERS[name].__doc__)
+        for key in params:
+            if key in ("section", "perturbation"):
+                p.add_argument(f"--{key}", required=True)
+            elif key == "sections":
+                p.add_argument("--sections", help="comma-separated section names (default: all)")
     return parser
 
 
@@ -87,6 +79,7 @@ def _summary_floats(fn: EFunction) -> dict:
 
 
 def _cmd_norms(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Norm of one section."""
     u = scenario.sections[command["section"]]
     norm = u.norm()
     return "pass", {
@@ -97,6 +90,7 @@ def _cmd_norms(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str
 
 
 def _cmd_invert(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Certified inverse of one section."""
     name = command["section"]
     u = scenario.sections[name]
     tol = float(_param(command, "tolerance", flags))
@@ -128,6 +122,7 @@ def _cmd_invert(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[st
 
 
 def _cmd_perturb(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Perturbed inverse with its bound."""
     x = scenario.sections[command["section"]]
     h = scenario.sections[command["perturbation"]]
     tol = float(_param(command, "tolerance", flags))
@@ -144,6 +139,7 @@ def _cmd_perturb(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[s
 
 
 def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Fiberwise spectra and selections."""
     name = command["section"]
     props = spectrum.selection_spectrum_properties(
         scenario.sections[name],
@@ -178,6 +174,7 @@ def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[
 
 
 def _cmd_reconstruct(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Rebuild the bundle from sections."""
     names = command.get("sections")
     if names is None:
         names = sorted(scenario.sections)
@@ -214,6 +211,7 @@ def _reverify_unit_support_witness(scenario: Scenario, encoded: dict, tol: float
 
 
 def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Unit-support invertibility check."""
     tol = float(_param(command, "tolerance", flags))
     samples = int(_param(command, "samples", flags))
     verdict = gelfand_mazur.check_unit_support_hypothesis(
@@ -246,6 +244,7 @@ def _reverify_zero_divisors(scenario: Scenario, pair: list[dict], mask_atoms, to
 
 
 def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Reverse norm bound check."""
     tol = float(_param(command, "tolerance", flags))
     samples = int(_param(command, "samples", flags))
     verdict = gelfand_mazur.check_reverse_bound_hypothesis(
@@ -279,7 +278,12 @@ def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> t
         )
         detail["certificate"] = {
             "passed": cert.passed,
-            "parts": cert.parts,
+            "parts": [
+                {**p, "witness": [encode_section(s) for s in p["witness"]]}
+                if "witness" in p
+                else p
+                for p in cert.parts
+            ],
             "glued_bound": encode_efunction(cert.glued_bound) if cert.glued_bound else None,
         }
         if not cert.passed:
@@ -289,6 +293,7 @@ def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> t
 
 
 def _cmd_verify(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+    """Full invariant suite."""
     report = verification.run_verification(
         scenario.bundle,
         scenario.sections,
@@ -387,40 +392,29 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _command_row(args) -> dict:
+    """The scenario command row a subcommand other than ``run`` stands for."""
+    row = {"command": args.subcommand}
+    for key in ("section", "perturbation"):
+        if key in vars(args):
+            row[key] = vars(args)[key]
+    if getattr(args, "sections", None):
+        row["sections"] = [s.strip() for s in args.sections.split(",") if s.strip()]
+    return row
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
-        parser.error(f"--tolerance must be a finite number > 0, got {args.tolerance}")
-    for key, least in INTEGER_MINIMA.items():
-        if getattr(args, key) < least:
-            parser.error(f"--{key} must be an integer >= {least}, got {getattr(args, key)}")
-    flags = {
-        "tolerance": args.tolerance,
-        "samples": args.samples,
-        "seed": args.seed,
-        "cap": args.cap,
-    }
+    args = build_parser().parse_args(argv)
+    flags = {key: getattr(args, key) for key in _DEFAULTS}
     try:
+        check_parameters(flags, "--")
         scenario = load_scenario(args.scenario)
         if args.subcommand == "run":
             commands = list(scenario.commands)
         else:
-            command: dict = {"command": args.subcommand}
-            if args.subcommand in ("norms", "invert", "perturb", "spectrum"):
-                command["section"] = args.section
-            if args.subcommand == "perturb":
-                command["perturbation"] = args.perturbation
-            if args.subcommand == "reconstruct" and args.sections:
-                command["sections"] = [s.strip() for s in args.sections.split(",") if s.strip()]
-            for ref in ("section", "perturbation"):
-                if ref in command and command[ref] not in scenario.sections:
-                    raise ScenarioError(f"unknown section {command[ref]!r}", ref)
-            if "sections" in command:
-                for ref in command["sections"]:
-                    if ref not in scenario.sections:
-                        raise ScenarioError(f"unknown section {ref!r}", "sections")
-            commands = [command]
+            commands = [
+                decode_command(_command_row(args), "--", scenario.sections, scenario.space)
+            ]
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -433,8 +427,12 @@ def main(argv=None) -> int:
     )
     sys.stdout.write(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: --out: cannot write {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report["passed"] else 1
 
 

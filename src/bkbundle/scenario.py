@@ -23,6 +23,11 @@ of ``size`` pairs.  Every section must supply a value for every atom.
 Parse failures raise :class:`ScenarioError` carrying the JSON field path,
 e.g. ``sections.x.w1``, so a malformed literal names both the section and
 the atom.
+
+``COMMANDS`` is the one table of commands and the parameters each takes.
+The CLI builds its subcommands from it and :func:`decode_command` checks
+scenario rows and CLI-built commands against it, so adding a command
+means one row there plus one handler in ``cli._HANDLERS``.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from .measure import AtomicMeasureSpace, EFunction
 
 __all__ = [
     "Scenario",
-    "COMMAND_NAMES",
+    "COMMANDS",
     "load_scenario",
     "parse_scenario",
+    "decode_command",
+    "check_parameters",
     "decode_complex",
     "encode_complex",
     "decode_fiber_value",
@@ -54,16 +61,18 @@ __all__ = [
     "INTEGER_MINIMA",
 ]
 
-COMMAND_NAMES = (
-    "norms",
-    "invert",
-    "perturb",
-    "spectrum",
-    "reconstruct",
-    "gelfand-mazur",
-    "reverse-bound",
-    "verify",
-)
+# Each command and the parameters it accepts, in the order the CLI lists
+# them.  "section" and "perturbation" are required wherever accepted.
+COMMANDS = {
+    "norms": ("section",),
+    "invert": ("section", "tolerance"),
+    "perturb": ("section", "perturbation", "tolerance"),
+    "spectrum": ("section", "tolerance", "cap"),
+    "reconstruct": ("sections", "samples"),
+    "gelfand-mazur": ("samples", "tolerance"),
+    "reverse-bound": ("samples", "tolerance", "bound"),
+    "verify": ("seed", "samples", "tolerance", "cap"),
+}
 
 # The least value of each integer command parameter.
 INTEGER_MINIMA = {"samples": 1, "cap": 1, "seed": 0}
@@ -218,68 +227,63 @@ def _decode_descriptor(obj, path: str) -> FiberDescriptor:
     raise ScenarioError(f"unknown fiber kind {kind!r}", f"{path}.kind")
 
 
-_KNOWN_PARAMS = {
-    "norms": {"section"},
-    "invert": {"section", "tolerance"},
-    "perturb": {"section", "perturbation", "tolerance"},
-    "spectrum": {"section", "tolerance", "cap"},
-    "reconstruct": {"sections", "samples"},
-    "gelfand-mazur": {"samples", "tolerance"},
-    "reverse-bound": {"samples", "tolerance", "bound"},
-    "verify": {"seed", "samples", "tolerance", "cap"},
-}
-
-
-def _decode_command(obj, path: str, scenario_sections: dict, space) -> dict:
-    row = _expect(obj, dict, path, "a command object")
-    name = row.get("command")
-    if not isinstance(name, str) or name not in COMMAND_NAMES:
-        raise ScenarioError(
-            f"unknown command {name!r}; expected one of {', '.join(COMMAND_NAMES)}",
-            f"{path}.command",
-        )
-    extra = set(row) - _KNOWN_PARAMS[name] - {"command"}
-    if extra:
-        raise ScenarioError(f"unknown key {sorted(extra)[0]!r}", f"{path}.{sorted(extra)[0]}")
-
-    def need_section(key):
-        ref = row.get(key)
-        if ref is not None and ref not in scenario_sections:
-            raise ScenarioError(f"unknown section {ref!r}", f"{path}.{key}")
-
-    if name in ("norms", "invert", "perturb", "spectrum"):
-        if not isinstance(row.get("section"), str):
-            raise ScenarioError("a section name is required", f"{path}.section")
-        need_section("section")
-    if name == "perturb":
-        if not isinstance(row.get("perturbation"), str):
-            raise ScenarioError("a perturbation section name is required", f"{path}.perturbation")
-        need_section("perturbation")
-    if name == "reconstruct" and "sections" in row:
-        refs = _expect(row["sections"], list, f"{path}.sections", "a list of section names")
-        for i, ref in enumerate(refs):
-            if not isinstance(ref, str) or ref not in scenario_sections:
-                raise ScenarioError(f"unknown section {ref!r}", f"{path}.sections[{i}]")
-    if name == "reverse-bound" and "bound" in row:
-        table = _expect(row["bound"], dict, f"{path}.bound", "an atom-to-number object")
-        for atom, value in table.items():
-            if atom not in space.atoms:
-                raise ScenarioError(f"unknown atom {atom!r}", f"{path}.bound.{atom}")
-            _finite_real(value, f"{path}.bound.{atom}", "a real number")
-        missing = set(space.atoms) - set(table)
-        if missing:
-            raise ScenarioError(
-                f"missing value for atom {sorted(missing)[0]!r}", f"{path}.bound"
-            )
+def check_parameters(row: dict, prefix: str) -> None:
+    """Range-check the ``tolerance``, ``samples``, ``seed`` and ``cap``
+    values present in ``row``; an error names the key as ``prefix + key``."""
     if "tolerance" in row:
-        if not _finite_real(row["tolerance"], f"{path}.tolerance", "a number > 0") > 0.0:
-            raise ScenarioError("expected a number > 0", f"{path}.tolerance")
+        path = f"{prefix}tolerance"
+        if not _finite_real(row["tolerance"], path, "a number > 0") > 0.0:
+            raise ScenarioError("expected a number > 0", path)
     for key, least in INTEGER_MINIMA.items():
         if key not in row:
             continue
         value = row[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ScenarioError(f"expected an integer >= {least}", f"{path}.{key}")
+            raise ScenarioError(f"expected an integer >= {least}", f"{prefix}{key}")
+
+
+def decode_command(obj, prefix: str, sections: dict, space) -> dict:
+    """Validate one command row against ``COMMANDS`` and return a copy.
+
+    ``prefix`` turns a key into the name an error gives it:
+    ``commands[0].`` for a scenario row, ``--`` for a row built from
+    command-line flags.  Section references must name one of ``sections``.
+    """
+    row = _expect(obj, dict, prefix.rstrip("."), "a command object")
+    name = row.get("command")
+    params = COMMANDS.get(name) if isinstance(name, str) else None
+    if params is None:
+        raise ScenarioError(
+            f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}",
+            f"{prefix}command",
+        )
+    extra = row.keys() - {"command", *params}
+    if extra:
+        raise ScenarioError(f"unknown key {sorted(extra)[0]!r}", f"{prefix}{sorted(extra)[0]}")
+    for key in ("section", "perturbation"):
+        if key in params:
+            ref = row.get(key)
+            if not isinstance(ref, str):
+                raise ScenarioError(f"a {key} name is required", f"{prefix}{key}")
+            if ref not in sections:
+                raise ScenarioError(f"unknown section {ref!r}", f"{prefix}{key}")
+    if "sections" in row:
+        refs = _expect(row["sections"], list, f"{prefix}sections", "a list of section names")
+        for i, ref in enumerate(refs):
+            if not isinstance(ref, str) or ref not in sections:
+                raise ScenarioError(f"unknown section {ref!r}", f"{prefix}sections[{i}]")
+    if "bound" in row:
+        table = _expect(row["bound"], dict, f"{prefix}bound", "an atom-to-number object")
+        for atom, value in table.items():
+            if atom not in space.atoms:
+                raise ScenarioError(f"unknown atom {atom!r}", f"{prefix}bound.{atom}")
+            _finite_real(value, f"{prefix}bound.{atom}", "a real number")
+        missing = set(space.atoms) - set(table)
+        if missing:
+            raise ScenarioError(
+                f"missing value for atom {sorted(missing)[0]!r}", f"{prefix}bound"
+            )
+    check_parameters(row, prefix)
     return dict(row)
 
 
@@ -314,7 +318,7 @@ def parse_scenario(data, source: str = "<memory>") -> Scenario:
     raw_commands = top.get("commands", [])
     raw_commands = _expect(raw_commands, list, "commands", "a list of command objects")
     commands = tuple(
-        _decode_command(obj, f"commands[{i}]", sections, space)
+        decode_command(obj, f"commands[{i}].", sections, space)
         for i, obj in enumerate(raw_commands)
     )
     return Scenario(source, space, bundle, sections, commands)

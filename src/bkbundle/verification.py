@@ -388,6 +388,15 @@ def _check_inversion_mixing(out, rng, bundle, sections, samples, tol, cap):
 # --- spectrum checks ---
 
 
+def _random_selection(table, space, rng) -> EFunction:
+    """One eigenvalue drawn from ``table`` per atom, in atom order."""
+    picks = [
+        table.per_atom[atom][int(rng.integers(0, len(table.per_atom[atom])))]
+        for atom in space.atoms
+    ]
+    return EFunction(space, np.array(picks, dtype=complex))
+
+
 def _check_membership_crosscheck(out, rng, bundle, sections, samples, tol, cap):
     # Membership through eigenvalue tables must agree with membership
     # through non-invertibility of a e - x.  Draws avoid the tolerance
@@ -401,18 +410,7 @@ def _check_membership_crosscheck(out, rng, bundle, sections, samples, tol, cap):
             if done >= samples:
                 break
             if rng.random() < 0.5:
-                a = EFunction(
-                    space,
-                    np.array(
-                        [
-                            table.per_atom[atom][
-                                int(rng.integers(0, len(table.per_atom[atom])))
-                            ]
-                            for atom in space.atoms
-                        ],
-                        dtype=complex,
-                    ),
-                )
+                a = _random_selection(table, space, rng)
             else:
                 a = random_efunction(space, rng, scale=2.0)
             table_member = spectrum.selection_spectrum_contains(x, a, tol, table=table)
@@ -442,16 +440,7 @@ def _check_spectrum_scaling(out, rng, bundle, sections, samples, tol, cap):
         c = (space.ones() + x.norm()).reciprocal()
         xs = c * x
         ts = spectrum.spectrum_table(xs, tol)
-        a = EFunction(
-            space,
-            np.array(
-                [
-                    table.per_atom[atom][int(rng.integers(0, len(table.per_atom[atom])))]
-                    for atom in space.atoms
-                ],
-                dtype=complex,
-            ),
-        )
+        a = _random_selection(table, space, rng)
         inside = spectrum.selection_spectrum_contains(xs, c * a, tol, table=ts)
         if not inside:
             out.fail({"law": "scaled member stays inside"})
