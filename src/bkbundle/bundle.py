@@ -57,10 +57,7 @@ class Bundle:
         if isinstance(descriptors, FiberDescriptor):
             return cls(space, (descriptors,) * len(space))
         if isinstance(descriptors, dict):
-            missing = [a for a in space.atoms if a not in descriptors]
-            if missing:
-                raise MismatchError(f"missing descriptor for atom {missing[0]!r}")
-            return cls(space, tuple(descriptors[a] for a in space.atoms))
+            return cls(space, tuple(space.ordered(descriptors)))
         return cls(space, tuple(descriptors))
 
     def descriptor(self, atom: str) -> FiberDescriptor:
@@ -93,13 +90,7 @@ class Section:
 
     def __init__(self, bundle: Bundle, values):
         if isinstance(values, dict):
-            missing = [a for a in bundle.space.atoms if a not in values]
-            if missing:
-                raise MismatchError(f"missing value for atom {missing[0]!r}")
-            extra = [a for a in values if a not in bundle.space.atoms]
-            if extra:
-                raise MismatchError(f"unknown atom {extra[0]!r}")
-            values = [values[a] for a in bundle.space.atoms]
+            values = bundle.space.ordered(values)
         values = tuple(values)
         if len(values) != len(bundle.space):
             raise MismatchError("one fiber element per atom required")

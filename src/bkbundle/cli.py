@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, gelfand_mazur, representation, spectrum, verification
 from .errors import AlgebraError, PreconditionError, ScenarioError
-from .inversion import NotInvertible, inverse, is_invertible, neumann_inverse, perturbed_inverse
-from .measure import EFunction
+from .inversion import NotInvertible, inverse, neumann_inverse, perturbed_inverse
+from .measure import EFunction, Idempotent
 from .sampling import derive_rng
 from .scenario import (
     COMMANDS,
@@ -59,9 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--report", choices=("json", "text"), default="json")
     shared.add_argument("--out", help="also write the report to this path")
 
-    sub.add_parser("run", parents=[shared], help="Execute the scenario's command list.")
+    sub.add_parser(
+        "run", parents=[shared], allow_abbrev=False, help="Execute the scenario's command list."
+    )
     for name, params in COMMANDS.items():
-        p = sub.add_parser(name, parents=[shared], help=_HANDLERS[name].__doc__)
+        p = sub.add_parser(
+            name, parents=[shared], allow_abbrev=False, help=_HANDLERS[name].__doc__
+        )
         for key in params:
             if key in ("section", "perturbation"):
                 p.add_argument(f"--{key}", required=True)
@@ -203,13 +207,6 @@ def _cmd_reconstruct(scenario: Scenario, command: dict, flags: dict, rng) -> tup
     return ("pass" if report.passed else "fail"), detail
 
 
-def _reverify_unit_support_witness(scenario: Scenario, encoded: dict, tol: float) -> bool:
-    witness = decode_section(scenario.bundle, encoded, "report.witness")
-    if not witness.norm().support(0.0).is_unit():
-        return False
-    return not is_invertible(witness, tol)
-
-
 def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
     """Unit-support invertibility check."""
     tol = float(_param(command, "tolerance", flags))
@@ -224,23 +221,13 @@ def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> t
     if verdict.witness is not None:
         encoded = encode_section(verdict.witness)
         detail["witness"] = encoded
-        detail["witness_reverified"] = _reverify_unit_support_witness(scenario, encoded, tol)
+        replayed = decode_section(scenario.bundle, encoded, "report.witness")
+        detail["witness_reverified"] = gelfand_mazur.is_unit_support_witness(replayed, tol)
         if not detail["witness_reverified"]:
             return "fail", {**detail, "message": "witness failed replay"}
     if verdict.localizing is not None:
         detail["localizing_atoms"] = list(verdict.localizing.atoms())
     return "pass", detail
-
-
-def _reverify_zero_divisors(scenario: Scenario, pair: list[dict], mask_atoms, tol: float) -> bool:
-    x = decode_section(scenario.bundle, pair[0], "report.witness_pair[0]")
-    y = decode_section(scenario.bundle, pair[1], "report.witness_pair[1]")
-    if (x * y).norm().max_abs() > 0.0:
-        return False
-    nx = x.norm().real_array()
-    ny = y.norm().real_array()
-    idx = [scenario.space.index(a) for a in mask_atoms]
-    return all(nx[i] > 0.0 and ny[i] > 0.0 for i in idx)
 
 
 def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
@@ -261,10 +248,13 @@ def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> t
     status = "pass"
     if verdict.witness_pair is not None:
         pair = [encode_section(verdict.witness_pair[0]), encode_section(verdict.witness_pair[1])]
-        mask_atoms = list(verdict.localizing.atoms()) if verdict.localizing else []
+        mask_atoms = list(verdict.localizing.atoms())
         detail["witness_pair"] = pair
         detail["localizing_atoms"] = mask_atoms
-        detail["witness_reverified"] = _reverify_zero_divisors(scenario, pair, mask_atoms, tol)
+        x = decode_section(scenario.bundle, pair[0], "report.witness_pair[0]")
+        y = decode_section(scenario.bundle, pair[1], "report.witness_pair[1]")
+        part = Idempotent.from_atoms(scenario.space, mask_atoms)
+        detail["witness_reverified"] = gelfand_mazur.is_zero_divisor_witness(x, y, part)
         if not detail["witness_reverified"]:
             detail["message"] = "witness pair failed replay"
             status = "fail"

@@ -20,10 +20,19 @@ the per-part verdicts along the partition; ``bound_partition`` exposes
 the level-set partition used to reduce an arbitrary candidate bound to
 constant bounds per part.
 
+Each theorem has one structured probe (``unit_support_probe``,
+``zero_divisor_probe``) and one replay predicate
+(``is_unit_support_witness``, ``is_zero_divisor_witness``); the checkers,
+the CLI and the ``verify`` suite all replay witnesses through these
+predicates.  The probes verify on every fiber the package admits, so a
+probe that fails its predicate raises ``CertificationError`` rather than
+becoming a verdict.
+
 Every verdict is conservative: "isomorphic" only after the isomorphism
 checks pass on fresh samples, "counterexample" only after the witness
-has been re-verified, and "inconclusive" whenever neither could be
-established.
+has been replayed, and "inconclusive" only on one-dimensional parts,
+when no sample was evaluated or an isomorphism check failed.  A
+negative tolerance is rejected with ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -33,16 +42,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import Bundle, Section
-from .errors import MismatchError, PreconditionError
-from .fibers import FiberElement
+from .errors import CertificationError, MismatchError, PreconditionError
+from .fibers import FiberDescriptor, FiberElement
 from .inversion import is_invertible
 from .measure import EFunction, Idempotent, PartitionOfUnity, mix
-from .sampling import as_rng, random_section, rank_deficient_unit, zero_divisor_pair
+from .sampling import as_rng, random_section
 
 __all__ = [
     "GMVerdict",
     "PartVerdict",
     "scalarize",
+    "unit_support_probe",
+    "is_unit_support_witness",
+    "zero_divisor_probe",
+    "is_zero_divisor_witness",
     "check_unit_support_hypothesis",
     "check_reverse_bound_hypothesis",
     "BoundPartition",
@@ -110,61 +123,102 @@ def _multi_dim_part(bundle: Bundle) -> Idempotent:
     return Idempotent(bundle.space, mask)
 
 
+def _check_tolerance(tol: float):
+    if not tol >= 0.0:
+        raise PreconditionError(f"tolerance must be >= 0, got {tol!r}")
+
+
+def _coordinate(descriptor: FiberDescriptor, k: int) -> FiberElement:
+    values = np.zeros(descriptor.size)
+    values[k] = 1.0
+    return FiberElement(descriptor, values)
+
+
+def unit_support_probe(bundle: Bundle) -> Section:
+    """A norm-one section that is not invertible on the part of the base
+    where the fiber has dimension > 1.
+
+    Matrix fibers get the corner matrix unit E_00, function fibers the
+    first coordinate indicator e_0: both have norm exactly 1 and smallest
+    singular value exactly 0.  One-dimensional fibers get the unit.
+    """
+    values = []
+    for d in bundle.descriptors:
+        if d.dim == 1:
+            values.append(FiberElement.unit(d))
+        elif d.kind == "matrix":
+            values.append(FiberElement.matrix_unit(d.size, 0, 0))
+        else:
+            values.append(_coordinate(d, 0))
+    return Section(bundle, values)
+
+
+def is_unit_support_witness(witness: Section, tol: float) -> bool:
+    """Replay of a unit-support counterexample: the norm of ``witness``
+    has full support, yet ``witness`` is not invertible at ``tol``."""
+    return witness.norm().support(0.0).is_unit() and not is_invertible(witness, tol)
+
+
+def zero_divisor_probe(bundle: Bundle) -> tuple[Section, Section]:
+    """Sections x, y with ``x y == 0`` and both norms 1 on the part of the
+    base where the fiber has zero divisors, zero elsewhere.
+
+    Matrix fibers get x == y == E_01 (a nilpotent matrix unit), function
+    fibers the disjointly supported indicators e_0 and e_1.
+    """
+    xs = []
+    ys = []
+    for d in bundle.descriptors:
+        if not d.has_zero_divisors():
+            x = y = FiberElement.zero(d)
+        elif d.kind == "matrix":
+            x = y = FiberElement.matrix_unit(d.size, 0, 1)
+        else:
+            x, y = _coordinate(d, 0), _coordinate(d, 1)
+        xs.append(x)
+        ys.append(y)
+    return Section(bundle, xs), Section(bundle, ys)
+
+
+def is_zero_divisor_witness(x: Section, y: Section, part: Idempotent) -> bool:
+    """Replay of a reverse-bound counterexample: ``x y`` vanishes
+    everywhere while the norms of x and y are both positive on ``part``."""
+    if (x * y).norm().max_abs() != 0.0:
+        return False
+    return bool(
+        (x.norm().real_array()[part.mask] > 0.0).all()
+        and (y.norm().real_array()[part.mask] > 0.0).all()
+    )
+
+
 def check_unit_support_hypothesis(
     bundle: Bundle, samples: int = 500, tol: float = 1e-8, rng=None
 ) -> GMVerdict:
     """Decide "every full-support section is invertible" for a bundle.
 
-    Structured probes run before any random sampling: a rank-deficient
-    norm-one element planted at every higher-dimensional fiber is
-    already a counterexample, and it is re-verified before being
-    returned.  Purely one-dimensional bundles get the isomorphism,
-    verified on fresh random sections.
+    A bundle with a fiber of dimension > 1 is refuted by
+    ``unit_support_probe``, replayed through ``is_unit_support_witness``
+    before it is returned; no sampling is needed.  Purely
+    one-dimensional bundles get the isomorphism, verified on fresh
+    random sections.  Raises ``PreconditionError`` when ``tol < 0`` and
+    ``CertificationError`` if the probe fails its replay.
     """
+    _check_tolerance(tol)
     rng = as_rng(rng)
     space = bundle.space
     multi = _multi_dim_part(bundle)
 
     if not multi.is_zero():
-        # structured probe; no sampling needed
-        values = []
-        for d in bundle.descriptors:
-            probe = rank_deficient_unit(d)
-            values.append(probe if probe is not None else FiberElement.unit(d))
-        witness = Section(bundle, values)
-        support_ok = witness.norm().support(0.0).is_unit()
-        non_invertible = not is_invertible(witness, tol)
-        if support_ok and non_invertible:
-            return GMVerdict(
-                outcome="counterexample",
-                checks_run=1,
-                tolerance=tol,
-                witness=witness,
-                localizing=multi,
-                detail="rank-deficient unit-support probe",
-            )
-        # probe did not verify: fall back to random full-support draws
-        checks = 1
-        for _ in range(samples):
-            x = random_section(bundle, rng)
-            if not x.norm().support(0.0).is_unit():
-                continue
-            checks += 1
-            if not is_invertible(x, tol):
-                return GMVerdict(
-                    outcome="counterexample",
-                    checks_run=checks,
-                    tolerance=tol,
-                    witness=x,
-                    localizing=multi,
-                    detail="random full-support section failed to invert",
-                )
+        witness = unit_support_probe(bundle)
+        if not is_unit_support_witness(witness, tol):
+            raise CertificationError("unit-support probe failed its replay")
         return GMVerdict(
-            outcome="inconclusive",
-            checks_run=checks,
+            outcome="counterexample",
+            checks_run=1,
             tolerance=tol,
-            detail="no counterexample found; hypothesis unprovable by sampling "
-            "on higher-dimensional fibers",
+            witness=witness,
+            localizing=multi,
+            detail="rank-deficient unit-support probe",
         )
 
     # Every fiber is one-dimensional: the hypothesis holds and the
@@ -241,22 +295,6 @@ def check_unit_support_hypothesis(
     )
 
 
-def _zero_divisor_sections(bundle: Bundle) -> tuple[Section, Section]:
-    """Structured probe pair: a zero-divisor pair at every atom whose fiber
-    has one, the zero element elsewhere."""
-    xs = []
-    ys = []
-    for d in bundle.descriptors:
-        pair = zero_divisor_pair(d)
-        if pair is None:
-            xs.append(FiberElement.zero(d))
-            ys.append(FiberElement.zero(d))
-        else:
-            xs.append(pair[0])
-            ys.append(pair[1])
-    return Section(bundle, xs), Section(bundle, ys)
-
-
 def check_reverse_bound_hypothesis(
     bundle: Bundle, samples: int = 500, tol: float = 1e-8, rng=None
 ) -> GMVerdict:
@@ -266,11 +304,13 @@ def check_reverse_bound_hypothesis(
     The base is split by fiber class; each part is decided on its own
     and the per-part verdicts glue along that partition.  One
     dimensional parts certify m == 1 by sampled pointwise equality;
-    parts with zero divisors refute every m with a verified witness
-    pair, localized by the part's idempotent.
+    parts with zero divisors refute every m with ``zero_divisor_probe``,
+    replayed through ``is_zero_divisor_witness`` and localized by the
+    part's idempotent.  Raises ``PreconditionError`` when ``tol < 0`` and
+    ``CertificationError`` if the probe fails its replay.
     """
+    _check_tolerance(tol)
     rng = as_rng(rng)
-    space = bundle.space
     multi = _multi_dim_part(bundle)
     ones_part = multi.complement()
 
@@ -302,50 +342,18 @@ def check_reverse_bound_hypothesis(
                 PartVerdict(ones_part, "inconclusive", "equality check failed")
             )
 
-    witness_pair = None
     if not multi.is_zero():
-        x, y = _zero_divisor_sections(bundle)
+        witness_pair = zero_divisor_probe(bundle)
         checks += 1
-        # verify: the product vanishes while both norms survive on the part
-        prod_zero = (x * y).norm().max_abs() == 0.0
-        norms_live = bool(
-            (x.norm().real_array()[multi.mask] > 0.0).all()
-            and (y.norm().real_array()[multi.mask] > 0.0).all()
+        if not is_zero_divisor_witness(*witness_pair, multi):
+            raise CertificationError("zero divisor probe failed its replay")
+        parts.append(
+            PartVerdict(
+                multi,
+                "counterexample",
+                "zero divisor pair: norms are 1 on the part, product is 0",
+            )
         )
-        if prod_zero and norms_live:
-            witness_pair = (x, y)
-            parts.append(
-                PartVerdict(
-                    multi,
-                    "counterexample",
-                    "zero divisor pair: norms are 1 on the part, product is 0",
-                )
-            )
-        else:
-            # no structured refutation: record the empirical pointwise
-            # ratio norm(x) norm(y) / norm(x y) on the part as data
-            ratio = 0.0
-            for _ in range(samples):
-                xs_r = random_section(bundle, rng)
-                ys_r = random_section(bundle, rng)
-                num = (xs_r.norm() * ys_r.norm()).real_array()[multi.mask]
-                den = (xs_r * ys_r).norm().real_array()[multi.mask]
-                live = den > tol
-                if live.any():
-                    ratio = max(ratio, float((num[live] / den[live]).max()))
-                checks += 1
-            parts.append(
-                PartVerdict(
-                    multi,
-                    "inconclusive",
-                    f"zero divisor probe did not verify; empirical max "
-                    f"ratio {ratio:.3e}",
-                )
-            )
-
-    # glue along the partition of the base
-    outcomes = {p.outcome for p in parts}
-    if "counterexample" in outcomes:
         return GMVerdict(
             outcome="counterexample",
             checks_run=checks,
@@ -355,7 +363,7 @@ def check_reverse_bound_hypothesis(
             parts=parts,
             detail="no base function can dominate a zero divisor part",
         )
-    if outcomes == {"isomorphic"}:
+    if parts[0].outcome == "isomorphic":
         return GMVerdict(
             outcome="isomorphic",
             checks_run=checks,
@@ -443,7 +451,7 @@ def certify_reverse_bound(
     # candidate would sail through sampling alone; probe the structured
     # zero-divisor pair first, which refutes every finite bound where it
     # exists
-    probe = _zero_divisor_sections(bundle)
+    probe = zero_divisor_probe(bundle)
 
     for level, part in zip(bp.levels, bp.partition):
         bound = float(level + 1)

@@ -203,13 +203,6 @@ def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z) + coeffs[0]
-    for c in coeffs[1:]:
-        out = out * z + c
-    return out
-
-
 def polynomial_roots(
     coeffs: np.ndarray,
     radius: float,
@@ -240,7 +233,7 @@ def polynomial_roots(
     z = r * np.exp(1j * angles)
 
     for iteration in range(1, max_iter + 1):
-        values = _polyval(c, z)
+        values = np.polyval(c, z)
         diffs = z[:, None] - z[None, :]
         np.fill_diagonal(diffs, 1.0)
         denom = diffs.prod(axis=1)

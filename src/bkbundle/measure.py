@@ -74,6 +74,20 @@ class AtomicMeasureSpace:
     def weight(self, atom: str) -> float:
         return self.weights[self.index(atom)]
 
+    def ordered(self, table: dict) -> list:
+        """The values of an atom-keyed dict, in atom order.
+
+        Raises ``MismatchError`` naming the first atom (in atom order)
+        the dict lacks, or else the first key that is not an atom.
+        """
+        missing = [a for a in self.atoms if a not in table]
+        if missing:
+            raise MismatchError(f"missing value for atom {missing[0]!r}")
+        if len(table) != len(self.atoms):
+            extra = [a for a in table if a not in self.atoms]
+            raise MismatchError(f"unknown atom {extra[0]!r}")
+        return [table[a] for a in self.atoms]
+
     # --- constructors for functions over this space ---
 
     def efunction(self, values) -> "EFunction":
@@ -96,13 +110,7 @@ def _coerce_values(space: AtomicMeasureSpace, values) -> np.ndarray:
     if isinstance(values, EFunction):
         values = values.values
     if isinstance(values, dict):
-        missing = [a for a in space.atoms if a not in values]
-        if missing:
-            raise MismatchError(f"missing value for atom {missing[0]!r}")
-        extra = [a for a in values if a not in space.atoms]
-        if extra:
-            raise MismatchError(f"unknown atom {extra[0]!r}")
-        values = [values[a] for a in space.atoms]
+        values = space.ordered(values)
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (len(space),):
         raise MismatchError(

@@ -250,7 +250,7 @@ class HKModule:
         if isinstance(dims, numbers.Integral):
             return cls(space, (int(dims),) * len(space))
         if isinstance(dims, dict):
-            return cls(space, tuple(dims[a] for a in space.atoms))
+            return cls(space, tuple(space.ordered(dims)))
         return cls(space, tuple(dims))
 
     def dim(self, atom: str) -> int:
@@ -270,7 +270,7 @@ class HKElement:
 
     def __init__(self, module: HKModule, values):
         if isinstance(values, dict):
-            values = [values[a] for a in module.space.atoms]
+            values = module.space.ordered(values)
         vectors = []
         for atom, d, v in zip(module.space.atoms, module.dims, values):
             arr = np.asarray(v, dtype=complex).copy()

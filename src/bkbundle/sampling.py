@@ -28,10 +28,7 @@ __all__ = [
     "random_section",
     "random_section_with_norm",
     "random_invertible_section",
-    "random_unit_norm_section",
     "random_partition",
-    "rank_deficient_unit",
-    "zero_divisor_pair",
 ]
 
 
@@ -121,11 +118,6 @@ def random_invertible_section(
     return Section(bundle, values)
 
 
-def random_unit_norm_section(bundle: Bundle, rng) -> Section:
-    """A random section with fiber norm exactly 1 at every atom."""
-    return random_section_with_norm(bundle, rng, bundle.space.ones())
-
-
 def random_partition(
     space: AtomicMeasureSpace, rng, max_parts: int | None = None
 ) -> PartitionOfUnity:
@@ -138,38 +130,3 @@ def random_partition(
     masks = [labels == k for k in range(parts)]
     return PartitionOfUnity([Idempotent(space, m) for m in masks])
 
-
-def rank_deficient_unit(descriptor: FiberDescriptor) -> FiberElement | None:
-    """A norm-one element with no inverse, when the fiber admits one.
-
-    One-dimensional fibers do not: every norm-one element there is
-    invertible.  Matrix fibers use a corner matrix unit, function fibers
-    a coordinate indicator.
-    """
-    if descriptor.dim == 1:
-        return None
-    if descriptor.kind == "matrix":
-        return FiberElement.matrix_unit(descriptor.size, 0, 0)
-    values = np.zeros(descriptor.size)
-    values[0] = 1.0
-    return FiberElement(descriptor, values)
-
-
-def zero_divisor_pair(
-    descriptor: FiberDescriptor,
-) -> tuple[FiberElement, FiberElement] | None:
-    """Norm-one elements x, y with x * y == 0, when the fiber has any.
-
-    For matrix fibers the pair is x == y (a nilpotent matrix unit); for
-    function fibers two disjointly supported indicators.
-    """
-    if not descriptor.has_zero_divisors():
-        return None
-    if descriptor.kind == "matrix":
-        x = FiberElement.matrix_unit(descriptor.size, 0, 1)
-        return x, x
-    a = np.zeros(descriptor.size)
-    b = np.zeros(descriptor.size)
-    a[0] = 1.0
-    b[1] = 1.0
-    return FiberElement(descriptor, a), FiberElement(descriptor, b)

@@ -88,6 +88,20 @@ def test_unknown_section_flag_exits_2_and_names_the_flag(capsys, argv, key):
     assert key in err and "nope" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", MIXED, "--section", "x"],
+        ["norms", MIXED, "--sec", "x"],
+        ["invert", MIXED, "--section", "x", "--tol", "1e-8"],
+    ],
+)
+def test_flag_prefixes_are_rejected(capsys, argv):
+    # only the flags the table declares are accepted, spelled in full
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_and_scenario_rows_share_the_range_check(capsys):
     doc = json.loads((SCENARIOS / "mixed.json").read_text())
     doc["commands"] = [{"command": "spectrum", "section": "x", "cap": 0}]

@@ -11,10 +11,28 @@ from bkbundle import (
     certify_reverse_bound,
     check_reverse_bound_hypothesis,
     check_unit_support_hypothesis,
+    gelfand_mazur,
     is_invertible,
 )
-from bkbundle.errors import PreconditionError
+from bkbundle.cli import execute
+from bkbundle.errors import CertificationError, PreconditionError
+from bkbundle.fibers import FiberElement
+from bkbundle.gelfand_mazur import (
+    is_unit_support_witness,
+    is_zero_divisor_witness,
+    unit_support_probe,
+    zero_divisor_probe,
+)
+from bkbundle.measure import Idempotent
 from bkbundle.sampling import derive_rng, random_section
+from bkbundle.scenario import encode_section, parse_scenario
+
+ADMITTED = [
+    FiberDescriptor.scalar(),
+    *(FiberDescriptor.matrix(n) for n in range(1, 9)),
+    *(FiberDescriptor.function(k) for k in (1, 2, 3, 64)),
+]
+CHECKERS = [check_unit_support_hypothesis, check_reverse_bound_hypothesis]
 
 
 def make_bundle(kinds):
@@ -163,3 +181,89 @@ def test_checkers_are_deterministic():
     x2, y2 = v2.witness_pair
     assert (x1 - x2).sup_norm() == 0.0
     assert (y1 - y2).sup_norm() == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8])
+@pytest.mark.parametrize("descriptor", ADMITTED, ids=lambda d: d.label())
+def test_probes_verify_on_every_admitted_fiber(descriptor, tol):
+    # the descriptor under test sits next to a matrix(2) atom, so the
+    # higher-dimensional part is never empty
+    B = make_bundle([descriptor, FiberDescriptor.matrix(2)])
+    higher = [a for a, d in zip(B.space.atoms, B.descriptors) if d.dim > 1]
+    part = Idempotent.from_atoms(B.space, higher)
+    witness = unit_support_probe(B)
+    assert is_unit_support_witness(witness, tol)
+    x, y = zero_divisor_probe(B)
+    assert is_zero_divisor_witness(x, y, part)
+    if descriptor.dim == 1:
+        assert witness.values[0] == FiberElement.unit(descriptor)
+        assert x.values[0] == y.values[0] == FiberElement.zero(descriptor)
+    unit_verdict = check_unit_support_hypothesis(B, samples=0, tol=tol)
+    assert unit_verdict.outcome == "counterexample"
+    assert (unit_verdict.witness - witness).sup_norm() == 0.0
+    bound_verdict = check_reverse_bound_hypothesis(B, samples=3, tol=tol)
+    assert bound_verdict.outcome == "counterexample"
+    assert list(bound_verdict.localizing.atoms()) == higher
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_negative_tolerance_is_a_precondition_error(checker):
+    B = make_bundle([FiberDescriptor.matrix(2), FiberDescriptor.scalar()])
+    with pytest.raises(PreconditionError):
+        checker(B, samples=5, tol=-1e-8)
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_failed_probe_raises_instead_of_answering(monkeypatch, checker):
+    B = make_bundle([FiberDescriptor.matrix(2), FiberDescriptor.scalar()])
+    monkeypatch.setattr(gelfand_mazur, "unit_support_probe", lambda b: b.unit())
+    monkeypatch.setattr(gelfand_mazur, "zero_divisor_probe", lambda b: (b.unit(), b.unit()))
+    with pytest.raises(CertificationError):
+        checker(B, samples=5)
+
+
+def test_unit_support_predicate_rejects_tampered_witnesses():
+    B = make_bundle([FiberDescriptor.matrix(2), FiberDescriptor.function(3)])
+    witness = unit_support_probe(B)
+    assert is_unit_support_witness(witness, 1e-8)
+    # full support but invertible
+    assert not is_unit_support_witness(B.unit(), 1e-8)
+    # not invertible but with a zero fiber
+    zero_fiber = Idempotent.from_atoms(B.space, ["w0"]) * witness
+    assert not is_unit_support_witness(zero_fiber, 1e-8)
+
+
+def test_zero_divisor_predicate_rejects_tampered_pairs():
+    B = make_bundle([FiberDescriptor.matrix(2), FiberDescriptor.scalar()])
+    part = Idempotent.from_atoms(B.space, ["w0"])
+    x, y = zero_divisor_probe(B)
+    assert is_zero_divisor_witness(x, y, part)
+    # nonzero product
+    assert not is_zero_divisor_witness(x, y + B.unit(), part)
+    # y vanishes on the part
+    assert not is_zero_divisor_witness(x, B.zero(), part)
+
+
+def test_cli_replays_the_encoded_witness_pair(monkeypatch):
+    # the CLI decodes the witness it wrote and replays that: an encoded
+    # pair altered on its way into the report fails the replay
+    doc = {
+        "space": [{"atom": "a", "weight": 1.0}, {"atom": "b", "weight": 1.0}],
+        "fibers": {"a": {"kind": "scalar"}, "b": {"kind": "matrix", "size": 2}},
+        "commands": [{"command": "reverse-bound", "samples": 5}],
+    }
+    sc = parse_scenario(doc)
+    flags = {"tolerance": 1e-8, "samples": 5, "seed": 0, "cap": 4096}
+    (result,) = execute(sc, sc.commands, flags)["results"]
+    assert result["status"] == "pass" and result["detail"]["witness_reverified"] is True
+
+    def altered(section):
+        encoded = encode_section(section)
+        encoded["b"] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        return encoded
+
+    monkeypatch.setattr("bkbundle.cli.encode_section", altered)
+    (result,) = execute(sc, sc.commands, flags)["results"]
+    assert result["status"] == "fail"
+    assert result["detail"]["witness_reverified"] is False
+    assert result["detail"]["message"] == "witness pair failed replay"

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkbundle import AtomicMeasureSpace, Idempotent, PartitionOfUnity, mix
+from bkbundle import (
+    AtomicMeasureSpace,
+    Bundle,
+    FiberDescriptor,
+    FiberElement,
+    HKModule,
+    Idempotent,
+    PartitionOfUnity,
+    mix,
+)
 from bkbundle.errors import MismatchError, PreconditionError
 
 SPACE = AtomicMeasureSpace.from_weights({"w0": 0.5, "w1": 0.5})
@@ -168,3 +177,25 @@ def test_efunction_helpers():
     assert a.conj().value("a") == 4.0
     assert a.is_real()
     assert np.allclose(a.real_array(), [4.0, 9.0, 16.0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space, table: space.efunction(table),
+        lambda space, table: Bundle.of(space, {a: FiberDescriptor.scalar() for a in table}),
+        lambda space, table: Bundle.of(space, FiberDescriptor.scalar()).section(
+            {a: FiberElement.unit(FiberDescriptor.scalar()) for a in table}
+        ),
+        lambda space, table: HKModule.of(space, table),
+        lambda space, table: HKModule.of(space, 1).element({a: [v] for a, v in table.items()}),
+    ],
+    ids=["EFunction", "Bundle.of", "Section", "HKModule.of", "HKElement"],
+)
+def test_atom_keyed_constructors_name_a_missing_or_unknown_atom(build):
+    space = AtomicMeasureSpace.from_weights({"a": 1.0, "b": 1.0})
+    build(space, {"a": 2, "b": 2})
+    with pytest.raises(MismatchError, match="missing value for atom 'b'"):
+        build(space, {"a": 2})
+    with pytest.raises(MismatchError, match="unknown atom 'z'"):
+        build(space, {"a": 2, "b": 2, "z": 2})
