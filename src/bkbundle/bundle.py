@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchError, PreconditionError
-from .fibers import FiberDescriptor, FiberElement
+from .fibers import FiberDescriptor, FiberElement, fill_norms
 from .measure import AtomicMeasureSpace, EFunction, Idempotent, PartitionOfUnity
 
 __all__ = [
@@ -169,7 +169,12 @@ class Section:
     # --- norm ---
 
     def norm(self) -> EFunction:
-        """The function-valued norm: at each atom, the fiber norm there."""
+        """The function-valued norm: at each atom, the fiber norm there.
+
+        Matrix fibers of one size are normed in one stacked kernel call
+        (see :func:`fibers.fill_norms`).
+        """
+        fill_norms(self._values)
         return EFunction(
             self.bundle.space, np.array([v.norm() for v in self._values])
         )

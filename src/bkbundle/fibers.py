@@ -29,7 +29,7 @@ from .errors import (
     NotInvertible,
 )
 
-__all__ = ["FiberDescriptor", "FiberElement", "KINDS"]
+__all__ = ["FiberDescriptor", "FiberElement", "KINDS", "fill_norms"]
 
 KINDS = ("scalar", "matrix", "function")
 
@@ -323,3 +323,21 @@ class FiberElement:
 
     def __repr__(self):
         return f"FiberElement({self.descriptor.label()}, {self._data!r})"
+
+
+def fill_norms(elements) -> None:
+    """Compute the missing norms of the matrix elements of size >= 3.
+
+    The elements of each size that has at least two of them go to
+    ``linalg.singular_values`` as one stack, and each keeps the top value
+    as its norm.  A lone element is left to ``norm()``.
+    """
+    stacks: dict[int, list[FiberElement]] = {}
+    for el in elements:
+        if el._norm is None and el.descriptor.kind == "matrix" and el.descriptor.size >= 3:
+            stacks.setdefault(el.descriptor.size, []).append(el)
+    for group in stacks.values():
+        if len(group) >= 2:
+            tops = linalg.singular_values(np.stack([el._data for el in group]))[:, -1]
+            for el, top in zip(group, tops.tolist()):
+                el._norm = top

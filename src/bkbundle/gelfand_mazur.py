@@ -44,7 +44,7 @@ import numpy as np
 from .bundle import Bundle, Section
 from .errors import CertificationError, MismatchError, PreconditionError
 from .fibers import FiberDescriptor, FiberElement
-from .inversion import is_invertible
+from .inversion import _check_tolerance, is_invertible
 from .measure import EFunction, Idempotent, PartitionOfUnity, mix
 from .sampling import as_rng, random_section
 
@@ -121,11 +121,6 @@ def _unscalarize(bundle: Bundle, a: EFunction) -> Section:
 def _multi_dim_part(bundle: Bundle) -> Idempotent:
     mask = np.array([d.dim > 1 for d in bundle.descriptors])
     return Idempotent(bundle.space, mask)
-
-
-def _check_tolerance(tol: float):
-    if not tol >= 0.0:
-        raise PreconditionError(f"tolerance must be >= 0, got {tol!r}")
 
 
 def _coordinate(descriptor: FiberDescriptor, k: int) -> FiberElement:

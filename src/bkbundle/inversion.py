@@ -145,12 +145,18 @@ def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     return InverseCertificate(total, residual, truncation, lhs, rhs)
 
 
+def _check_tolerance(tol: float):
+    if not tol >= 0.0:
+        raise PreconditionError(f"tolerance must be >= 0, got {tol!r}")
+
+
 def inverse(x: Section, tol: float = SIGMA_TOL) -> Section | NotInvertible:
     """Atomwise exact inverse, or ``NotInvertible`` naming the failing atoms.
 
     An atom fails exactly when the fiber's smallest singular value is at
-    most ``tol``.
+    most ``tol``.  Raises ``PreconditionError`` when ``tol < 0`` or NaN.
     """
+    _check_tolerance(tol)
     failed = []
     values = []
     for atom, v in zip(x.bundle.space.atoms, x.values):

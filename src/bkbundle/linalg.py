@@ -1,16 +1,23 @@
 """Dense complex linear algebra kernels for small matrix fibers.
 
 Everything here operates on plain numpy arrays of shape (n, n) with
-n <= 8.  The routines favour reproducible, certifiable behaviour over
-raw speed: the Hermitian eigensolver is a cyclic Jacobi iteration, a
-general spectrum goes through the characteristic polynomial and a
-Durand-Kerner simultaneous root iteration, and inversion is Gauss-Jordan
-elimination with partial pivoting.  At these dimensions each call costs
-microseconds, so nothing is blocked or cache-tuned.
+n <= 8; ``singular_values`` also takes a (k, n, n) stack.  The routines
+favour reproducible, certifiable behaviour over raw speed: singular
+values come from one-sided Jacobi that rotates the disjoint column pairs
+of every matrix in a stack in one set of numpy operations, with each
+matrix's values bitwise the same alone or inside any stack; the
+Hermitian eigensolver is a cyclic Jacobi iteration; a general spectrum
+goes through the characteristic polynomial and a Durand-Kerner
+simultaneous root iteration; inversion is Gauss-Jordan elimination with
+partial pivoting.  A numpy operation on one small matrix costs about a
+microsecond whatever its size, so the column sweep pays off on stacks,
+and ``operator_norm`` of one matrix up to GRAM_ROUTE_MAX_DIM keeps the
+faster Gram route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +45,13 @@ JACOBI_MAX_SWEEPS = 100
 ROOT_STEP_TOL = 1e-11
 ROOT_MAX_ITER = 500
 _ROOT_START_PHASE = 0.4  # radians; breaks symmetric stalls
+# operator_norm of one matrix up to this size goes through the Gram
+# matrix, which is faster there than a one-matrix column sweep; above it
+# the sweep is faster.
+GRAM_ROUTE_MAX_DIM = 6
+# singular_values sweeps a stack in blocks of this many matrices, which
+# bounds its temporaries at a few hundred kilobytes.
+STACK_BLOCK = 512
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -125,56 +139,120 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     return hermitian_eigensystem(a)[0]
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Ascending singular values, by one-sided Jacobi on the columns.
+@functools.cache
+def _round_robin(m: int) -> list[np.ndarray]:
+    """Row permutations of one round-robin sweep over m (even) columns.
 
-    Forming A* A and solving the eigenproblem cannot resolve singular
-    values below sqrt(eps) * norm(A): the smallest eigenvalue of the Gram
-    matrix drowns in cancellation around 1e-16 * norm(A)^2.  Rotating the
-    columns of A directly keeps every singular value accurate relative to
-    its own size, which the invertibility threshold (1e-10) and the
-    spectrum membership cross-checks depend on.
+    The circle method: column 0 stays put and the others move one seat
+    per step, so every pair of columns meets once in m - 1 steps.  Step
+    j's permutation takes the columns from where step j - 1 left them to
+    seats where its pairs are (0, 1), (2, 3), ...  Applied in turn from
+    the natural order, the m - 1 permutations return to it.
     """
-    work = np.array(a, dtype=complex)
-    n = work.shape[1]
-    if n == 1:
-        return np.array([float(np.sqrt((np.abs(work) ** 2).sum()))])
+    ring = list(range(m))
+    seats = []
+    for _ in range(m - 1):
+        seats.append([c for i in range(m // 2) for c in (ring[i], ring[m - 1 - i])])
+        ring = [ring[0], ring[-1]] + ring[1:-1]
+    return [np.array([seats[j - 1].index(c) for c in seats[j]]) for j in range(m - 1)]
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    parts = rows.view(float)
+    return (parts * parts).sum(axis=-1)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Ascending singular values of one (n, n) matrix or a (k, n, n) stack.
+
+    One-sided Jacobi on the columns with the round-robin ordering of
+    Brent & Luk: each step rotates the n // 2 disjoint column pairs of
+    every matrix in the stack at once (an odd n gets a zero column that
+    never rotates).  Rotating the columns of A, rather than diagonalising
+    A* A, keeps every singular value accurate relative to its own size
+    (Demmel & Veselic), which the invertibility threshold (1e-10) and the
+    spectrum membership cross-checks depend on.
+
+    A pair rotates only when its columns are not yet orthogonal,
+    |a_pq| > 1e-14 sqrt(a_pp a_qq), and its smaller column lies above the
+    rounding floor eps * frobenius(A); otherwise it gets exactly the
+    identity (c = 1, s = 0).  A matrix leaves the iteration after its
+    first sweep without a rotation.  It therefore sees the same
+    operations alone or inside any stack, so its values are bitwise the
+    same, and columns of rank-deficient input that are rounding noise
+    are never chased.
+    """
+    a = np.asarray(a, dtype=complex)
+    stack = a[None] if a.ndim == 2 else a
+    blocks = range(0, max(len(stack), 1), STACK_BLOCK)
+    values = np.concatenate([_sweep_block(stack[i : i + STACK_BLOCK]) for i in blocks])
+    return values[0] if a.ndim == 2 else values
+
+
+def _sweep_block(a: np.ndarray) -> np.ndarray:
+    k, n, _ = a.shape
+    m = n + n % 2
+    # Scale each matrix by a power of two (exact) so that its largest
+    # entry lies in [0.5, 1) and no squared column norm under- or
+    # overflows.  Row j of cols[i] is column j of the i-th matrix.
+    _, exponent = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
+    scale = np.ldexp(1.0, -np.maximum(exponent, -1000))[:, None]
+    cols = np.zeros((k, m, n), dtype=complex)
+    cols[:, :n] = a.transpose(0, 2, 1) * scale[:, :, None]
+    squares = _squared_norms(cols)
+    floor = np.finfo(float).eps ** 2 * squares.sum(axis=-1)[:, None]
+    live = np.arange(k if n > 1 else 0)
     for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = work[:, p].copy()
-                cq = work[:, q]
-                app = float((np.abs(cp) ** 2).sum())
-                aqq = float((np.abs(cq) ** 2).sum())
-                apq = complex(np.vdot(cp, cq))
-                if abs(apq) <= 1e-14 * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                # rephase column q so the 2x2 Gram block is real symmetric
-                d = (apq.conjugate() / abs(apq)) * cq
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                work[:, p] = c * cp - s * d
-                work[:, q] = s * cp + c * d
-        if not rotated:
+        if not len(live):
             break
-    else:
+        turns = []
+        for perm in _round_robin(m):
+            cols = cols[:, perm]
+            cp, cq = cols[:, 0::2], cols[:, 1::2]
+            norms = _squared_norms(cols)
+            app, aqq = norms[:, 0::2], norms[:, 1::2]
+            apq = (cp.conj() * cq).sum(axis=-1)
+            mag = np.abs(apq)
+            turn = (mag > 1e-14 * np.sqrt(app * aqq)) & (np.minimum(app, aqq) > floor)
+            turns.append(turn)
+            if not turn.any():
+                continue
+            # the rotation that zeroes a_pq; t = 0 (c = 1, s = 0) elsewhere
+            safe = np.where(turn, mag, 1.0)
+            tau = (aqq - app) / (2.0 * safe)
+            t = turn / (tau + np.copysign(np.hypot(1.0, tau), tau))
+            c = 1.0 / np.hypot(1.0, t)
+            r = t * c / safe
+            sbar, c = (r * apq)[..., None], c[..., None]
+            sq, scp = sbar.conj() * cq, sbar * cp
+            cp *= c
+            cp -= sq
+            cq *= c
+            cq += scp
+        moved = np.concatenate(turns, axis=-1).any(axis=-1)
+        if not moved.all():
+            squares[live[~moved]] = _squared_norms(cols[~moved])
+            live, cols, floor = live[moved], cols[moved], floor[moved]
+    if len(live):
         raise ConvergenceError(
             f"column rotations did not settle in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    return np.sort(np.sqrt((np.abs(work) ** 2).sum(axis=0)))
+    # the padding row of an odd n is zero: the first value after sorting
+    return np.sort(np.sqrt(squares), axis=-1)[:, m - n :] / scale
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value, as sqrt of the top eigenvalue of A* A.
+    """Largest singular value of one matrix.
 
-    The top of the Gram spectrum carries no cancellation, so this stays
-    on the closed-form / Jacobi Hermitian route.
+    Up to GRAM_ROUTE_MAX_DIM it is the square root of the top eigenvalue
+    of A* A (closed form at n = 2, Hermitian Jacobi above): the top of
+    the Gram spectrum carries no cancellation, and at these sizes that
+    route beats a one-matrix column sweep.  Larger matrices take the top
+    singular value from :func:`singular_values`.
     """
     m = np.asarray(a, dtype=complex)
+    if m.shape[0] > GRAM_ROUTE_MAX_DIM:
+        return float(singular_values(m)[-1])
     gram = m.conj().T @ m
     eigs = hermitian_eigenvalues(gram)
     return float(np.sqrt(max(float(eigs[-1]), 0.0)))

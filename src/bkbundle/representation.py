@@ -271,6 +271,11 @@ class HKElement:
     def __init__(self, module: HKModule, values):
         if isinstance(values, dict):
             values = module.space.ordered(values)
+        values = tuple(values)
+        if len(values) != len(module.space):
+            raise MismatchError(
+                f"{len(module.space)} atoms but {len(values)} vectors"
+            )
         vectors = []
         for atom, d, v in zip(module.space.atoms, module.dims, values):
             arr = np.asarray(v, dtype=complex).copy()

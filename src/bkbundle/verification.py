@@ -22,7 +22,7 @@ import numpy as np
 from . import gelfand_mazur, representation, spectrum
 from .bundle import Bundle, Section, d_decompose, lifting, mix_sections, vector_lifting
 from .errors import AlgebraError
-from .fibers import FiberElement
+from .fibers import FiberElement, fill_norms
 from .inversion import (
     NotInvertible,
     inverse,
@@ -160,15 +160,23 @@ def _check_fiber_norm_axioms(out, rng, bundle, sections, samples, tol, cap):
 
 
 def _check_fiber_submultiplicative(out, rng, bundle, sections, samples, tol, cap):
+    # the norms of each block of 1,000 (a, b, a b) triples are taken in
+    # one stacked kernel call per matrix size
     for desc in _distinct_descriptors(bundle):
-        for _ in range(max(samples, 1000)):
-            a = random_fiber_element(desc, rng)
-            b = random_fiber_element(desc, rng)
-            gap = (a * b).norm() - a.norm() * b.norm()
-            out.max_error = max(out.max_error, gap)
-            if gap > 1e-9 * max(1.0, a.norm() * b.norm()):
-                out.fail({"kind": desc.label(), "gap": gap})
-            out.cases += 1
+        cases = max(samples, 1000)
+        for start in range(0, cases, 1000):
+            triples = []
+            for _ in range(min(1000, cases - start)):
+                a = random_fiber_element(desc, rng)
+                b = random_fiber_element(desc, rng)
+                triples.append((a, b, a * b))
+            fill_norms([el for triple in triples for el in triple])
+            for a, b, ab in triples:
+                gap = ab.norm() - a.norm() * b.norm()
+                out.max_error = max(out.max_error, gap)
+                if gap > 1e-9 * max(1.0, a.norm() * b.norm()):
+                    out.fail({"kind": desc.label(), "gap": gap})
+                out.cases += 1
 
 
 def _check_fiber_spectral_radius(out, rng, bundle, sections, samples, tol, cap):

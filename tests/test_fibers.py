@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from bkbundle import FiberDescriptor, FiberElement, NotInvertible
+from bkbundle import FiberDescriptor, FiberElement, NotInvertible, linalg
+from bkbundle.fibers import fill_norms
 from bkbundle.errors import MismatchError
 from bkbundle.sampling import derive_rng, random_fiber_element
 
@@ -105,6 +106,29 @@ def test_inverse_frozen_cases():
     tri = FiberElement.matrix([[1, 0.5], [0, 1]])
     want = FiberElement.matrix([[1, -0.5], [0, 1]])
     assert (tri.inverse() - want).norm() <= 1e-12
+
+
+def test_rank_deficient_matrix3_is_not_invertible():
+    # the cyclic Jacobi kernel raised ConvergenceError here, so inverse did too
+    a = FiberElement.matrix([[0, -8j, -16 + 32j], [0, 0, 0], [-9j, -32 + 32j, 256]])
+    assert a.smallest_singular_value() <= 1e-10
+    assert isinstance(a.inverse(), NotInvertible)
+
+
+def test_fill_norms_stacks_each_size_with_two_or_more_elements():
+    rng = derive_rng(0, "fibers", "fill-norms")
+    els = [random_fiber_element(FiberDescriptor.matrix(n), rng) for n in (3, 5, 3, 4, 2, 2)]
+    cached = random_fiber_element(FiberDescriptor.matrix(4), rng)
+    cached.norm()
+    before = cached._norm
+    fill_norms(els + [cached])
+    for el in (els[0], els[2]):
+        assert el._norm == linalg.singular_values(el.data)[-1]
+        assert el.norm() == pytest.approx(np.linalg.norm(el.data, 2), rel=1e-13)
+    # a lone size, the size-4 element whose partner is cached, and the
+    # size-2 pair are left to norm()
+    assert [els[i]._norm for i in (1, 3, 4, 5)] == [None] * 4
+    assert cached._norm == before
 
 
 def test_inverse_certifies_both_sides():

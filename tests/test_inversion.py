@@ -291,3 +291,21 @@ def test_nilpotent_index_three_series_terminates():
     assert cert.truncation_order == "exact"
     want = B.unit() + x + x * x
     assert (cert.inverse - want).sup_norm() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [FiberDescriptor.scalar(), FiberDescriptor.matrix(2), FiberDescriptor.function(3)],
+    ids=lambda d: d.label(),
+)
+@pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+def test_negative_or_nan_tolerance_is_a_precondition_error(desc, tol):
+    # before the check, a zero section raised whatever its fiber kind's
+    # inverse raised: ZeroDivisionError, CertificationError or ValueError
+    space = AtomicMeasureSpace.from_weights({"a": 1.0, "b": 2.0})
+    zero = Bundle.of(space, desc).zero()
+    with pytest.raises(PreconditionError, match="tolerance must be >= 0"):
+        inverse(zero, tol)
+    with pytest.raises(PreconditionError, match="tolerance must be >= 0"):
+        is_invertible(zero, tol)
+    assert isinstance(inverse(zero, 0.0), NotInvertible)

@@ -7,9 +7,11 @@ implementation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bkbundle.errors import CertificationError, ConvergenceError
 from bkbundle.linalg import (
+    STACK_BLOCK,
     characteristic_polynomial,
     frobenius,
     gauss_jordan_inverse,
@@ -156,3 +158,99 @@ def test_polynomial_roots_flags_non_convergence():
         roots, converged, _ = polynomial_roots(coeffs, radius=1e-9, max_iter=3)
         if not converged:
             raise ConvergenceError("root iteration did not settle")
+
+
+def special_matrices(rng, n):
+    """Zero, identity, rank-one and graded tiny-sigma n x n matrices."""
+    u, _, vh = np.linalg.svd(random_complex(rng, n))
+    rank_one = np.outer(u[:, 0], 3.0 * vh[0])
+    graded = (u * np.geomspace(1e-12, 1.0, n)) @ vh
+    return [np.zeros((n, n)), np.eye(n), rank_one, graded]
+
+
+def numpy_singular_values(a):
+    return np.sort(np.linalg.svd(a, compute_uv=False), axis=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_stacked_singular_values_match_numpy(n, k):
+    rng = derive_rng(0, "linalg", "stacked", str(n), str(k))
+    pool = special_matrices(rng, n) + [random_complex(rng, n) for _ in range(13)]
+    stack = np.array([pool[i] for i in rng.choice(len(pool), size=k, replace=False)])
+    got = singular_values(stack)
+    want = numpy_singular_values(stack)
+    assert got.shape == (k, n)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, w[-1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_special_matrices_match_numpy(n):
+    rng = derive_rng(0, "linalg", "special", str(n))
+    zero, eye, rank_one, graded = special_matrices(rng, n)
+    assert np.array_equal(singular_values(zero), np.zeros(n))
+    assert np.array_equal(singular_values(eye), np.ones(n))
+    scale = np.abs(rank_one).sum()
+    got = singular_values(rank_one)
+    assert np.abs(got - numpy_singular_values(rank_one)).max() <= 1e-14 * n * scale
+    if n > 1:
+        # one-sided Jacobi keeps the tiny end of a graded spectrum
+        # accurate relative to its own size
+        assert singular_values(graded)[0] == pytest.approx(1e-12, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_each_row_of_a_stack_equals_the_single_call_bitwise(n):
+    rng = derive_rng(0, "linalg", "bitwise", str(n))
+    mats = special_matrices(rng, n) + [random_complex(rng, n) for _ in range(13)]
+    stack = np.array(mats)
+    got = singular_values(stack)
+    for row, a in zip(got, mats):
+        assert np.array_equal(row, singular_values(a))
+    # a stack longer than one block is swept in blocks with the same result
+    long = np.array([mats[i % len(mats)] for i in range(STACK_BLOCK + 5)])
+    assert np.array_equal(singular_values(long), got[np.arange(len(long)) % len(mats)])
+
+
+def test_empty_stack():
+    assert singular_values(np.zeros((0, 3, 3))).shape == (0, 3)
+
+
+def test_rank_deficient_matrix_settles():
+    # the cyclic kernel rotated the rounding noise of the zero column
+    # against the others for 100 sweeps and raised ConvergenceError
+    a = np.array([[0, -8j, -16 + 32j], [0, 0, 0], [-9j, -32 + 32j, 256]])
+    got = singular_values(a)
+    want = numpy_singular_values(a)
+    assert np.abs(got - want).max() <= 1e-12 * want[-1]
+    assert got[0] <= 1e-13
+
+
+@st.composite
+def jordan_or_rank_one_stacks(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    mats = []
+    for _ in range(k):
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        z = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+        if draw(st.booleans()):
+            m = np.diag(np.full(n, draw(z))) + np.diag(np.ones(n - 1), 1)
+        else:
+            u = np.array(draw(st.lists(z, min_size=n, max_size=n)))
+            v = np.array(draw(st.lists(z, min_size=n, max_size=n)))
+            m = np.outer(u, v.conj())
+        mats.append(scale * m)
+    return np.array(mats, dtype=complex)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=jordan_or_rank_one_stacks())
+@example(stack=np.array([[[0j]], [[0j]], [[2.84735165e-185 + 0j]]]))
+def test_jordan_and_rank_one_stacks(stack):
+    got = singular_values(stack)
+    want = numpy_singular_values(stack)
+    for g, w, a in zip(got, want, stack):
+        assert np.abs(g - w).max() <= 1e-12 * max(w[-1], 1e-300)
+        assert np.array_equal(g, singular_values(a))

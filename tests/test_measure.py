@@ -199,3 +199,30 @@ def test_atom_keyed_constructors_name_a_missing_or_unknown_atom(build):
         build(space, {"a": 2})
     with pytest.raises(MismatchError, match="unknown atom 'z'"):
         build(space, {"a": 2, "b": 2, "z": 2})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space, n: space.efunction([1.0] * n),
+        lambda space, n: Bundle(space, [FiberDescriptor.scalar()] * n),
+        lambda space, n: Bundle.of(space, FiberDescriptor.scalar()).section(
+            [FiberElement.unit(FiberDescriptor.scalar())] * n
+        ),
+        lambda space, n: HKModule.of(space, [1] * n),
+        lambda space, n: HKModule.of(space, 1).element([[1.0]] * n),
+    ],
+    ids=["EFunction", "Bundle", "Section", "HKModule.of", "HKElement"],
+)
+def test_list_constructors_reject_a_short_or_long_list(build):
+    space = AtomicMeasureSpace.from_weights({"a": 1.0, "b": 1.0})
+    build(space, 2)
+    for n in (1, 3):
+        with pytest.raises(MismatchError):
+            build(space, n)
+
+
+def test_hk_element_names_both_counts():
+    module = HKModule.of(AtomicMeasureSpace.from_weights({"a": 1.0, "b": 1.0}), 2)
+    with pytest.raises(MismatchError, match="2 atoms but 1 vectors"):
+        module.element([np.array([1, 0])])

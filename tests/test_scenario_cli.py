@@ -285,3 +285,22 @@ def test_invert_near_the_contraction_boundary():
     assert detail["residual"] <= 1e-8
     got = complex(*detail["inverse"]["w0"])
     assert abs(got - 1.0 / u) <= 1e-8
+
+
+def test_invert_rank_deficient_matrix3_answers_not_invertible():
+    # the cyclic Jacobi kernel chased the rounding noise of the zero
+    # singular value and exited with "column rotations did not settle"
+    m = [[0, -8j, -16 + 32j], [0, 0, 0], [-9j, -32 + 32j, 256]]
+    doc = {
+        "space": [{"atom": "w0", "weight": 1.0}],
+        "fibers": {"w0": {"kind": "matrix", "size": 3}},
+        "sections": {"u": {"w0": [[complex(z).real, complex(z).imag] for row in m for z in row]}},
+        "commands": [{"command": "invert", "section": "u"}],
+    }
+    sc = parse_scenario(doc)
+    flags = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
+    (result,) = execute(sc, sc.commands, flags)["results"]
+    assert result["status"] == "pass"
+    assert result["detail"]["method"] == "exact"
+    assert result["detail"]["invertible"] is False
+    assert result["detail"]["atoms"] == ["w0"]

@@ -1,7 +1,9 @@
 """Work-count guards: the Neumann series takes a logarithmic number of
 section products, a fiber norm is computed once, a well-conditioned
-inverse is certified without operator norms, and ``perturb`` inverts
-once.  Counts come from monkeypatched wrappers; nothing here is timed."""
+inverse is certified without operator norms, ``perturb`` inverts once,
+and section norms and verify's fiber sampling hand the singular value
+kernel one stack per matrix size.  Counts come from monkeypatched
+wrappers; nothing here is timed."""
 
 import json
 import math
@@ -13,11 +15,25 @@ import pytest
 import bkbundle.cli
 import bkbundle.inversion
 import bkbundle.linalg
-from bkbundle import FiberDescriptor, FiberElement, Section, inverse, neumann_inverse
+from bkbundle import (
+    AtomicMeasureSpace,
+    Bundle,
+    FiberDescriptor,
+    FiberElement,
+    Section,
+    inverse,
+    neumann_inverse,
+)
 from bkbundle.cli import execute
 from bkbundle.inversion import _strict_contraction_order
-from bkbundle.sampling import derive_rng, random_fiber_element, random_section_with_norm
+from bkbundle.sampling import (
+    derive_rng,
+    random_fiber_element,
+    random_section,
+    random_section_with_norm,
+)
 from bkbundle.scenario import decode_section, load_scenario
+from bkbundle.verification import CheckOutcome, _check_fiber_submultiplicative
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FLAGS = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
@@ -118,3 +134,66 @@ def test_perturb_inverts_once_and_reports_the_certificate(monkeypatch, name):
             difference.values[i].real, rel=1e-15
         )
         assert detail["bound"][atom] == pytest.approx(bound.values[i].real, rel=1e-15)
+
+
+def stacked_calls(calls):
+    """Shapes of the calls that handed the kernel a (k, n, n) stack."""
+    return [args[0].shape for args in calls if np.ndim(args[0]) == 3]
+
+
+def numpy_norm(kind, data):
+    return np.linalg.norm(data, 2) if kind == "matrix" else np.abs(data).max()
+
+
+def test_section_norm_makes_one_kernel_call_per_stackable_size(monkeypatch):
+    sizes = [3, 5, 3, 8, 5, 5, 8, 4, 6, 2, 2]
+    descriptors = [FiberDescriptor.matrix(n) for n in sizes]
+    descriptors += [FiberDescriptor.scalar(), FiberDescriptor.function(4)]
+    space = AtomicMeasureSpace.from_weights({f"w{i}": 1.0 for i in range(len(descriptors))})
+    bundle = Bundle(space, descriptors)
+    rng = derive_rng(0, "work-counts", "section-norm")
+    u = random_section(bundle, rng)
+    # an element whose norm is already kept leaves its size with one
+    # uncached fiber of size 8, so size 8 gets no stacked call
+    u.values[3].norm()
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    norm = u.norm()
+    assert sorted(stacked_calls(calls)) == [(2, 3, 3), (3, 5, 5)]
+    want = [numpy_norm(v.descriptor.kind, v.data) for v in u.values]
+    assert np.allclose(norm.real_array(), want, rtol=1e-13, atol=0.0)
+    # every norm is kept: a second call reaches no kernel
+    calls.clear()
+    assert u.norm() == norm
+    assert calls == []
+
+
+@pytest.mark.parametrize("samples, blocks", [(20, [1000]), (1500, [1000, 500])])
+def test_fiber_submultiplicative_stacks_each_matrix_kind(monkeypatch, samples, blocks):
+    kinds = [
+        FiberDescriptor.scalar(),
+        FiberDescriptor.matrix(2),
+        FiberDescriptor.matrix(3),
+        FiberDescriptor.function(3),
+        FiberDescriptor.matrix(5),
+    ]
+    space = AtomicMeasureSpace.from_weights({f"w{i}": 1.0 for i in range(len(kinds))})
+    bundle = Bundle(space, kinds)
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    out = CheckOutcome("fiber-submultiplicative", True, 0)
+    _check_fiber_submultiplicative(out, derive_rng(0, "x"), bundle, {}, samples, 1e-8, 4096)
+    assert stacked_calls(calls) == [(3 * b, n, n) for n in (3, 5) for b in blocks]
+    assert out.passed
+    assert out.cases == len(kinds) * max(samples, 1000)
+    monkeypatch.undo()
+
+    # the same triples from the same rng stream, normed by numpy
+    rng = derive_rng(0, "x")
+    worst = 0.0
+    for desc in kinds:
+        for _ in range(max(samples, 1000)):
+            a = random_fiber_element(desc, rng).data
+            b = random_fiber_element(desc, rng).data
+            ab = a @ b if desc.kind == "matrix" else a * b
+            gap = numpy_norm(desc.kind, ab) - numpy_norm(desc.kind, a) * numpy_norm(desc.kind, b)
+            worst = max(worst, gap)
+    assert out.max_error == pytest.approx(worst, abs=1e-12)
