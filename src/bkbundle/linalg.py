@@ -45,13 +45,16 @@ JACOBI_MAX_SWEEPS = 100
 ROOT_STEP_TOL = 1e-11
 ROOT_MAX_ITER = 500
 _ROOT_START_PHASE = 0.4  # radians; breaks symmetric stalls
+# A column pair whose smaller squared norm (in a matrix scaled to largest
+# entry in [0.5, 1)) lies below this floor rotates but no longer keeps the
+# matrix in the Jacobi sweep: at and above it, |a_pq| and the orthogonality
+# threshold stay clear of the subnormal range, below it rounding noise of a
+# rank-deficient matrix would be chased into underflow.
+COLUMN_FLOOR = 1e-280
 # operator_norm of one matrix up to this size goes through the Gram
 # matrix, which is faster there than a one-matrix column sweep; above it
 # the sweep is faster.
 GRAM_ROUTE_MAX_DIM = 6
-# singular_values sweeps a stack in blocks of this many matrices, which
-# bounds its temporaries at a few hundred kilobytes.
-STACK_BLOCK = 512
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -173,34 +176,36 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     (Demmel & Veselic), which the invertibility threshold (1e-10) and the
     spectrum membership cross-checks depend on.
 
-    A pair rotates only when its columns are not yet orthogonal,
-    |a_pq| > 1e-14 sqrt(a_pp a_qq), and its smaller column lies above the
-    rounding floor eps * frobenius(A); otherwise it gets exactly the
+    A pair rotates when its columns are not yet orthogonal,
+    |a_pq| > 1e-14 sqrt(a_pp) sqrt(a_qq); otherwise it gets exactly the
     identity (c = 1, s = 0).  A matrix leaves the iteration after its
-    first sweep without a rotation.  It therefore sees the same
+    first sweep in which no rotated pair has its smaller squared column
+    norm above COLUMN_FLOOR (after scaling).  It therefore sees the same
     operations alone or inside any stack, so its values are bitwise the
-    same, and columns of rank-deficient input that are rounding noise
-    are never chased.
+    same.  A column far below eps * frobenius(A) is rotated to
+    convergence like any other, so values down to about 1e-140 times the
+    largest entry keep their relative accuracy; the rounding noise of
+    rank-deficient input shrinks by about eps per sweep until it drops
+    below the floor.
     """
     a = np.asarray(a, dtype=complex)
-    stack = a[None] if a.ndim == 2 else a
-    blocks = range(0, max(len(stack), 1), STACK_BLOCK)
-    values = np.concatenate([_sweep_block(stack[i : i + STACK_BLOCK]) for i in blocks])
+    values = _sweep(a[None] if a.ndim == 2 else a)
     return values[0] if a.ndim == 2 else values
 
 
-def _sweep_block(a: np.ndarray) -> np.ndarray:
+def _sweep(a: np.ndarray) -> np.ndarray:
     k, n, _ = a.shape
     m = n + n % 2
     # Scale each matrix by a power of two (exact) so that its largest
-    # entry lies in [0.5, 1) and no squared column norm under- or
-    # overflows.  Row j of cols[i] is column j of the i-th matrix.
+    # entry lies in [0.5, 1): its largest squared column norm neither
+    # under- nor overflows, and COLUMN_FLOOR is relative to that size.
+    # The exponent is capped so that the scale of a subnormal entry stays
+    # finite.  Row j of cols[i] is column j of the i-th matrix.
     _, exponent = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))
     scale = np.ldexp(1.0, -np.maximum(exponent, -1000))[:, None]
     cols = np.zeros((k, m, n), dtype=complex)
     cols[:, :n] = a.transpose(0, 2, 1) * scale[:, :, None]
     squares = _squared_norms(cols)
-    floor = np.finfo(float).eps ** 2 * squares.sum(axis=-1)[:, None]
     live = np.arange(k if n > 1 else 0)
     for _ in range(JACOBI_MAX_SWEEPS):
         if not len(live):
@@ -213,17 +218,22 @@ def _sweep_block(a: np.ndarray) -> np.ndarray:
             app, aqq = norms[:, 0::2], norms[:, 1::2]
             apq = (cp.conj() * cq).sum(axis=-1)
             mag = np.abs(apq)
-            turn = (mag > 1e-14 * np.sqrt(app * aqq)) & (np.minimum(app, aqq) > floor)
-            turns.append(turn)
+            # sqrt(app * aqq) would underflow for two small columns
+            turn = mag > 1e-14 * np.sqrt(app) * np.sqrt(aqq)
+            turns.append(turn & (np.minimum(app, aqq) > COLUMN_FLOOR))
             if not turn.any():
                 continue
-            # the rotation that zeroes a_pq; t = 0 (c = 1, s = 0) elsewhere
-            safe = np.where(turn, mag, 1.0)
-            tau = (aqq - app) / (2.0 * safe)
-            t = turn / (tau + np.copysign(np.hypot(1.0, tau), tau))
-            c = 1.0 / np.hypot(1.0, t)
-            r = t * c / safe
-            sbar, c = (r * apq)[..., None], c[..., None]
+            # the rotation that zeroes a_pq has t = 1 / (tau + sign(tau)
+            # sqrt(1 + tau^2)) with tau = (a_qq - a_pp) / 2|a_pq|; u is
+            # t / |a_pq| in a form that never divides by |a_pq|, so that a
+            # subnormal a_pq does not overflow (gap >= 2|a_pq|, so the clamp
+            # only touches pairs far below the floor).  u = 0 (c = 1, s = 0)
+            # where the pair does not turn.
+            diff = aqq - app
+            gap = np.abs(diff) + np.hypot(diff, 2.0 * mag)
+            u = turn * np.copysign(2.0, diff) / np.maximum(gap, 1e-300)
+            c = 1.0 / np.hypot(1.0, u * mag)
+            sbar, c = ((c * u) * apq)[..., None], c[..., None]
             sq, scp = sbar.conj() * cq, sbar * cp
             cp *= c
             cp -= sq
@@ -232,7 +242,7 @@ def _sweep_block(a: np.ndarray) -> np.ndarray:
         moved = np.concatenate(turns, axis=-1).any(axis=-1)
         if not moved.all():
             squares[live[~moved]] = _squared_norms(cols[~moved])
-            live, cols, floor = live[moved], cols[moved], floor[moved]
+            live, cols = live[moved], cols[moved]
     if len(live):
         raise ConvergenceError(
             f"column rotations did not settle in {JACOBI_MAX_SWEEPS} sweeps"
@@ -248,14 +258,19 @@ def operator_norm(a: np.ndarray) -> float:
     of A* A (closed form at n = 2, Hermitian Jacobi above): the top of
     the Gram spectrum carries no cancellation, and at these sizes that
     route beats a one-matrix column sweep.  Larger matrices take the top
-    singular value from :func:`singular_values`.
+    singular value from :func:`singular_values`.  Both routes first scale
+    the matrix by the same power of two, so A* A neither under- nor
+    overflows and the two agree on which matrices have norm 0.
     """
     m = np.asarray(a, dtype=complex)
     if m.shape[0] > GRAM_ROUTE_MAX_DIM:
         return float(singular_values(m)[-1])
+    _, exponent = math.frexp(float(np.abs(m).max(initial=0.0)))
+    scale = math.ldexp(1.0, -max(exponent, -1000))  # as in _sweep
+    m = m * scale
     gram = m.conj().T @ m
     eigs = hermitian_eigenvalues(gram)
-    return float(np.sqrt(max(float(eigs[-1]), 0.0)))
+    return float(np.sqrt(max(float(eigs[-1]), 0.0)) / scale)
 
 
 def smallest_singular_value(a: np.ndarray) -> float:

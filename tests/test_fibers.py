@@ -108,11 +108,30 @@ def test_inverse_frozen_cases():
     assert (tri.inverse() - want).norm() <= 1e-12
 
 
-def test_rank_deficient_matrix3_is_not_invertible():
-    # the cyclic Jacobi kernel raised ConvergenceError here, so inverse did too
-    a = FiberElement.matrix([[0, -8j, -16 + 32j], [0, 0, 0], [-9j, -32 + 32j, 256]])
-    assert a.smallest_singular_value() <= 1e-10
+@pytest.mark.parametrize(
+    "m",
+    [
+        # the cyclic Jacobi kernel raised ConvergenceError here, so inverse did too
+        [[0, -8j, -16 + 32j], [0, 0, 0], [-9j, -32 + 32j, 256]],
+        # sigma_min is |det| / sigma_max = 1e-20, not the small column's norm 1e-9
+        [[1e8, 1e-9], [0, 1e-20]],
+    ],
+    ids=["rank-deficient", "small-column"],
+)
+def test_near_singular_matrix_is_not_invertible(m):
+    a = FiberElement.matrix(m)
+    assert a.smallest_singular_value() <= 1e-19
     assert isinstance(a.inverse(), NotInvertible)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tiny_matrix_norm_is_the_same_alone_and_stacked(n):
+    # A* A of these entries underflows unless the matrix is scaled first
+    alone, stacked = (FiberElement.matrix(1e-170 * np.ones((n, n))) for _ in range(2))
+    fill_norms([stacked, FiberElement.matrix(1e-170 * np.ones((n, n)))])
+    assert alone.norm() > 0.0
+    assert alone.norm() == pytest.approx(stacked.norm(), rel=1e-14, abs=0.0)
+    assert alone.norm() == pytest.approx(n * 1e-170, rel=1e-14, abs=0.0)
 
 
 def test_fill_norms_stacks_each_size_with_two_or_more_elements():

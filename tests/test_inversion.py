@@ -121,6 +121,19 @@ def test_exact_inverse_frozen_cases(scalar_bundle, matrix2_bundle):
     assert not is_invertible(mixed_rank)
 
 
+def test_small_far_from_orthogonal_column_is_not_invertible(matrix2_bundle):
+    # sigma_min of the matrix at b is 1e-20, far below SIGMA_TOL, although
+    # its second column has norm 1e-9
+    one = FiberElement.unit(FiberDescriptor.matrix(2))
+    x = matrix2_bundle.section(
+        {"a": one, "b": FiberElement.matrix([[1e8, 1e-9], [0, 1e-20]]), "c": one}
+    )
+    verdict = inverse(x)
+    assert isinstance(verdict, NotInvertible)
+    assert verdict.atoms == ("b",)
+    assert not is_invertible(x)
+
+
 def test_neumann_agrees_with_exact_route(mixed_bundle):
     # the two inversion routes are independent; their gap is the check
     rng = derive_rng(0, "inversion", "two-routes")
