@@ -34,7 +34,9 @@ from .scenario import (
     check_parameters,
     decode_command,
     decode_section,
+    encode_complex,
     encode_efunction,
+    encode_rows,
     encode_section,
     load_scenario,
 )
@@ -155,10 +157,10 @@ def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[
     detail = {
         "section": name,
         "fiber_spectra": {
-            atom: [[z.real, z.imag] for z in props.table.per_atom[atom]]
+            atom: [encode_complex(z) for z in props.table.per_atom[atom]]
             for atom in scenario.space.atoms
         },
-        "selections": [encode_efunction(a) for a in props.enumeration.selections],
+        "selections": encode_rows(scenario.space.atoms, props.enumeration.selections),
         "selection_count": props.enumeration.total_count,
         "truncated": props.enumeration.truncated,
         "norm_bound_excess": props.norm_bound_excess,

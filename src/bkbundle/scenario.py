@@ -58,6 +58,7 @@ __all__ = [
     "decode_section",
     "encode_section",
     "encode_efunction",
+    "encode_rows",
     "INTEGER_MINIMA",
 ]
 
@@ -178,9 +179,12 @@ def encode_section(section: Section) -> dict:
 
 
 def encode_efunction(fn: EFunction) -> dict:
-    return {
-        atom: encode_complex(z) for atom, z in zip(fn.space.atoms, fn.values)
-    }
+    return encode_rows(fn.space.atoms, fn.values[None])[0]
+
+
+def encode_rows(atoms, rows: np.ndarray) -> list[dict]:
+    """Each row of a (count, atoms) complex array as an atom-keyed object."""
+    return [dict(zip(atoms, row)) for row in np.stack([rows.real, rows.imag], -1).tolist()]
 
 
 def _decode_space(obj) -> AtomicMeasureSpace:

@@ -13,14 +13,15 @@ not asserted anywhere.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bundle import Section
 from .errors import MismatchError
-from .measure import EFunction, mix
+from .measure import EFunction
 from .sampling import as_rng, random_partition
 
 __all__ = [
@@ -67,33 +68,43 @@ class FiberSpectrumTable:
                 out.append(z)
         return tuple(out)
 
-    def distance(self, a: EFunction) -> np.ndarray:
-        """Per-atom distance from a(atom) to the fiber spectrum there."""
-        space = self.section.bundle.space
-        if a.space != space:
-            raise MismatchError("function lives over a different space")
-        dists = np.empty(len(space))
-        for i, atom in enumerate(space.atoms):
-            eigs = self.per_atom[atom]
-            dists[i] = min(abs(complex(a.values[i]) - z) for z in eigs)
-        return dists
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The eigenvalues as one (atoms, widest fiber) array in atom order."""
+        return _pad([self.per_atom[atom] for atom in self.section.bundle.space.atoms])
+
+    def distance(self, a) -> np.ndarray:
+        """Distance from each value of ``a`` to the fiber spectrum at its
+        atom; ``a`` is an EFunction or an array whose last axis runs over
+        the atoms."""
+        if isinstance(a, EFunction):
+            if a.space != self.section.bundle.space:
+                raise MismatchError("function lives over a different space")
+            a = a.values
+        return np.abs(np.asarray(a)[..., None] - self._padded).min(axis=-1)
+
+
+def _pad(groups) -> np.ndarray:
+    """Nonempty tuples as array rows, each padded with its first value.
+
+    Repeating a value changes no distance and no nearest value.
+    """
+    width = max(len(g) for g in groups)
+    return np.array([g + g[:1] * (width - len(g)) for g in groups], dtype=complex)
 
 
 def spectrum_table(x: Section, tol: float = DEFAULT_TOL) -> FiberSpectrumTable:
     """Compute every fiber spectrum of a section."""
-    per_atom = {
-        atom: v.spectrum(tol)
-        for atom, v in zip(x.bundle.space.atoms, x.values)
-    }
+    per_atom = {atom: v.spectrum(tol) for atom, v in zip(x.bundle.space.atoms, x.values)}
     return FiberSpectrumTable(x, tol, per_atom)
 
 
 def _table_for(x: Section, tol: float, table: FiberSpectrumTable | None):
-    if table is not None:
-        if table.section.bundle != x.bundle:
-            raise MismatchError("table belongs to a different bundle")
-        return table
-    return spectrum_table(x, tol)
+    if table is None:
+        return spectrum_table(x, tol)
+    if table.section != x:
+        raise MismatchError("table belongs to a different section")
+    return table
 
 
 def selection_spectrum_contains(
@@ -119,16 +130,18 @@ def spectrum_contains(
     return bool((t.distance(a) <= tol).any())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionEnumeration:
     """The selection spectrum, enumerated up to a cap.
 
-    ``total_count`` multiplies the distinct eigenvalue counts over the
-    atoms; when it exceeds the cap, ``selections`` holds only the first
-    ``cap`` members in lexicographic order and ``truncated`` is set.
+    ``selections`` is a read-only complex array of shape (rows, atoms):
+    one selection per row, its values in atom order.  ``total_count``
+    multiplies the distinct eigenvalue counts over the atoms; when it
+    exceeds the cap, ``selections`` holds only the first ``cap`` rows in
+    lexicographic order and ``truncated`` is set.
     """
 
-    selections: tuple[EFunction, ...]
+    selections: np.ndarray
     truncated: bool
     total_count: int
 
@@ -147,15 +160,18 @@ def enumerate_selection_spectrum(
     if cap < 1:
         raise ValueError("cap must be positive")
     t = _table_for(x, tol, table)
-    space = x.bundle.space
-    choice_lists = [t.distinct(atom) for atom in space.atoms]
-    total = 1
-    for choices in choice_lists:
-        total *= len(choices)
-    selections = []
-    for combo in itertools.islice(itertools.product(*choice_lists), cap):
-        selections.append(EFunction(space, np.array(combo, dtype=complex)))
-    return SelectionEnumeration(tuple(selections), total > cap, total)
+    choices = [t.distinct(atom) for atom in x.bundle.space.atoms]
+    sizes = [len(c) for c in choices]
+    total = math.prod(sizes)
+    count = min(total, cap)
+    # Row r picks choice (r // stride) % size at each atom, the stride
+    # being the product of the later sizes.  Strides are clamped at the
+    # row count (past it every pick is 0) to stay within int64.
+    strides = [min(math.prod(sizes[i + 1:]), count) for i in range(len(sizes))]
+    picks = np.arange(count)[:, None] // strides % sizes
+    rows = _pad(choices)[np.arange(len(sizes)), picks]
+    rows.setflags(write=False)
+    return SelectionEnumeration(rows, total > cap, total)
 
 
 @dataclass
@@ -204,48 +220,32 @@ def selection_spectrum_properties(
     space = x.bundle.space
     table = spectrum_table(x, tol)
     enum = enumerate_selection_spectrum(x, cap=cap, tol=tol, table=table)
-    members = enum.selections
+    rows = enum.selections
+    atom_index = np.arange(len(space))
     failures: list[dict] = []
 
-    nonempty = len(members) > 0
+    nonempty = len(rows) > 0
 
     # Bounded: |a| <= norm(x) pointwise, with tolerance for the root
-    # finder's residual.
-    norm_plus = x.norm().real_array() + tol
-    bounded = True
-    excess = 0.0
-    for a in members:
-        over = np.abs(a.values) - norm_plus
-        excess = max(excess, float(over.max()))
-        if bounded and (over > 0.0).any():
-            bounded = False
-            failures.append(
-                {
-                    "check": "bounded",
-                    "selection": {
-                        atom: [z.real, z.imag]
-                        for atom, z in zip(space.atoms, a.values)
-                    },
-                }
-            )
+    # finder's residual.  The witness is the first offending row.
+    over = np.abs(rows) - (x.norm().real_array() + tol)
+    excess = max(0.0, float(over.max()))
+    bounded = excess == 0.0
+    if not bounded:
+        first = rows[(over > 0.0).any(axis=1).argmax()]
+        failures.append({"check": "bounded", "selection": _pairs(space, first)})
 
     # Cyclic: mixing members along any partition of unity stays inside.
     cyclic = True
     for _ in range(samples):
         partition = random_partition(space, rng)
-        picks = [members[int(rng.integers(0, len(members)))] for _ in partition]
-        mixed = mix(partition, picks)
-        if not selection_spectrum_contains(x, mixed, tol, table=table):
+        source = np.empty(len(space), dtype=int)
+        for part in partition:
+            source[part.mask] = int(rng.integers(0, len(rows)))
+        mixed = rows[source, atom_index]
+        if not (table.distance(mixed) <= tol).all():
             cyclic = False
-            failures.append(
-                {
-                    "check": "cyclic",
-                    "mixed": {
-                        atom: [z.real, z.imag]
-                        for atom, z in zip(space.atoms, mixed.values)
-                    },
-                }
-            )
+            failures.append({"check": "cyclic", "mixed": _pairs(space, mixed)})
             break
 
     # Order closed: perturb a member by eps = 2^-40 along a random
@@ -255,20 +255,12 @@ def selection_spectrum_properties(
     order_closed = True
     probes = max(1, samples // 10)
     for _ in range(probes):
-        base = members[int(rng.integers(0, len(members)))]
+        base = rows[int(rng.integers(0, len(rows)))]
         noise = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
-        perturbed = base.values + 2.0 ** (-40) * noise
-        projected = EFunction(
-            space,
-            np.array(
-                [
-                    min(table.per_atom[atom], key=lambda z: abs(z - complex(v)))
-                    for atom, v in zip(space.atoms, perturbed)
-                ],
-                dtype=complex,
-            ),
-        )
-        if not selection_spectrum_contains(x, projected, tol, table=table):
+        perturbed = base + 2.0 ** (-40) * noise
+        nearest = np.abs(perturbed[:, None] - table._padded).argmin(axis=1)
+        projected = table._padded[atom_index, nearest]
+        if not (table.distance(projected) <= tol).all():
             order_closed = False
             failures.append({"check": "order_closed"})
             break
@@ -284,3 +276,8 @@ def selection_spectrum_properties(
         samples=samples,
         failures=failures,
     )
+
+
+def _pairs(space, values) -> dict:
+    """A failure witness: atom -> [re, im]."""
+    return {atom: [z.real, z.imag] for atom, z in zip(space.atoms, values)}

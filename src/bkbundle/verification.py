@@ -465,8 +465,8 @@ def _check_selection_implies_somewhere(out, rng, bundle, sections, samples, tol,
         x = random_section(bundle, rng)
         table = spectrum.spectrum_table(x, tol)
         enum = spectrum.enumerate_selection_spectrum(x, cap=cap, tol=tol, table=table)
-        for a in enum.selections[:20]:
-            if not spectrum.spectrum_contains(x, a, tol, table=table):
+        for row in enum.selections[:20]:
+            if not spectrum.spectrum_contains(x, bundle.space.efunction(row), tol, table=table):
                 out.fail({"law": "selection is a member"})
             out.cases += 1
 

@@ -1,4 +1,8 @@
-"""Shared fixtures: the three reference bundles and a deterministic rng helper."""
+"""Shared fixtures: the three reference bundles and a deterministic rng
+helper; and the environment for running the CLI in a child process."""
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +57,12 @@ def rng():
         return derive_rng(0, "tests", *labels)
 
     return make
+
+
+def checkout_env() -> dict:
+    """The current environment with this checkout's ``src/`` first on
+    ``PYTHONPATH``, so a ``python -m bkbundle.cli`` child process runs
+    these sources whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -39,6 +39,7 @@ from bkbundle.sampling import (
     random_section,
     random_section_with_norm,
 )
+from conftest import checkout_env
 
 
 def report(number, text):
@@ -198,9 +199,9 @@ def test_criterion_5_selection_spectrum_suite():
         enum = enumerate_selection_spectrum(x, cap=512)
         assert enum.total_count >= 1
         cap_fn = x.norm() + space.constant(1e-8)
-        for a in enum.selections:
+        members = [space.efunction(row) for row in enum.selections]
+        for a in members:
             assert (cap_fn - abs(a)).real_array().min() >= -1e-12
-        members = enum.selections
         if len(members) >= 2 and mixes_checked < 100:
             labels = [int(rng.integers(0, 2)) for _ in space.atoms]
             p = PartitionOfUnity.from_labels(space, labels)
@@ -379,6 +380,7 @@ def test_criterion_9_deterministic_verification():
             ],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert result.returncode == 0, result.stderr
         doc = json.loads(result.stdout)

@@ -112,7 +112,7 @@ def test_singular_values_resolve_tiny_sigma():
         target = np.geomspace(1e-12, 1.0, n)
         b = (u * target) @ vh
         got = smallest_singular_value(b)
-        assert got == pytest.approx(1e-12, rel=1e-6)
+        assert got == pytest.approx(1e-12, abs=1e-15)
 
 
 def test_operator_norm_matches_numpy():

@@ -102,6 +102,25 @@ def test_quotient_equals_seminorm_everywhere(mixed_bundle):
             assert abs(q - alpha) <= 1e-10 * max(1.0, alpha)
 
 
+def test_quotient_norm_at_the_atom_limit():
+    # 16 atoms, 2**16 subsets; the queried atom "w3" has a zero fiber, so
+    # subsets without it are admissible too
+    space = AtomicMeasureSpace.uniform([f"w{i}" for i in range(16)])
+    B = Bundle.of(space, {a: FiberDescriptor.scalar() for a in space.atoms})
+    rng = derive_rng(0, "representation", "sixteen")
+    u = random_section(B, rng) * B.space.indicator(["w3"]).complement().as_efunction()
+    assert evaluation_seminorm(u, "w3") == 0.0
+    for atom in ("w3", "w0", "w15"):
+        assert quotient_norm(u, atom) == oracle_truncation_norm(u, atom)
+
+
+def test_quotient_norm_refuses_seventeen_atoms():
+    space = AtomicMeasureSpace.uniform([f"w{i}" for i in range(17)])
+    B = Bundle.of(space, {a: FiberDescriptor.scalar() for a in space.atoms})
+    with pytest.raises(MismatchError):
+        quotient_norm(B.unit(), "w0")
+
+
 def test_quotient_fiber_ideal(matrix2_bundle):
     rng = derive_rng(0, "representation", "ideal")
     space = matrix2_bundle.space

@@ -13,6 +13,7 @@ from bkbundle.cli import execute, main
 from bkbundle.errors import ScenarioError
 from bkbundle.inversion import _strict_contraction_order
 from bkbundle.scenario import decode_section
+from conftest import checkout_env
 
 BASE = {
     "space": [
@@ -44,6 +45,7 @@ def run_cli(args):
         [sys.executable, "-m", "bkbundle.cli", *args],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
 
 

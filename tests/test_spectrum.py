@@ -19,6 +19,7 @@ from bkbundle import (
     spectrum_contains,
     spectrum_table,
 )
+from bkbundle.errors import MismatchError
 from bkbundle.sampling import derive_rng, random_section
 
 
@@ -106,12 +107,13 @@ def test_enumeration_matches_cartesian_oracle():
     enum = enumerate_selection_spectrum(d)
     assert not enum.truncated
     assert enum.total_count == 4
+    selections = [d.bundle.space.efunction(row) for row in enum.selections]
     values = [
-        tuple(s.value(a) for a in d.bundle.space.atoms) for s in enum.selections
+        tuple(s.value(a) for a in d.bundle.space.atoms) for s in selections
     ]
     for got, expect in zip(values, oracle):
         assert max(abs(g - e) for g, e in zip(got, expect)) <= 1e-10
-    for s in enum.selections:
+    for s in selections:
         assert selection_spectrum_contains(d, s)
 
 
@@ -136,6 +138,58 @@ def test_enumeration_cap_and_flag():
     enum = enumerate_selection_spectrum(x, cap=100)
     assert enum.truncated
     assert len(enum.selections) == 100
+
+
+def test_enumeration_past_int64_keeps_exact_count_and_order():
+    # 8**22 = 2**66 selections: the count stays an exact int and the
+    # first rows are still the lexicographic ones
+    space = AtomicMeasureSpace.uniform([f"w{i}" for i in range(22)])
+    B = Bundle.of(space, {a: FiberDescriptor.function(8) for a in space.atoms})
+    x = B.section(
+        {
+            a: FiberElement.function([complex(k, i) for k in range(8)])
+            for i, a in enumerate(space.atoms)
+        }
+    )
+    enum = enumerate_selection_spectrum(x, cap=5)
+    assert enum.total_count == 8**22
+    assert enum.truncated
+    table = spectrum_table(x)
+    oracle = itertools.islice(
+        itertools.product(*(table.distinct(a) for a in space.atoms)), 5
+    )
+    assert np.array_equal(enum.selections, np.array(list(oracle)))
+
+
+def test_enumeration_cap_above_total_returns_every_row():
+    d = diag_pair_section()
+    enum = enumerate_selection_spectrum(d, cap=5)
+    assert not enum.truncated
+    assert enum.total_count == len(enum.selections) == 4
+    assert np.array_equal(enum.selections, enumerate_selection_spectrum(d).selections)
+
+
+def test_enumeration_rows_are_read_only():
+    enum = enumerate_selection_spectrum(diag_pair_section())
+    with pytest.raises(ValueError):
+        enum.selections[0, 0] = 0.0
+
+
+def test_table_of_another_section_is_rejected():
+    B = scalar_pair_bundle()
+    x = B.section({"p": FiberElement.scalar(1), "q": FiberElement.scalar(2)})
+    y = B.section({"p": FiberElement.scalar(5), "q": FiberElement.scalar(6)})
+    a = B.space.efunction({"p": 5, "q": 6})
+    wrong = spectrum_table(y)
+    with pytest.raises(MismatchError):
+        selection_spectrum_contains(x, a, table=wrong)
+    with pytest.raises(MismatchError):
+        spectrum_contains(x, a, table=wrong)
+    with pytest.raises(MismatchError):
+        enumerate_selection_spectrum(x, table=wrong)
+    # an equal section built separately shares the table
+    x_again = B.section({"p": FiberElement.scalar(1), "q": FiberElement.scalar(2)})
+    assert not selection_spectrum_contains(x, a, table=spectrum_table(x_again))
 
 
 def test_membership_crosscheck_against_sigma_min(matrix2_bundle):
@@ -205,7 +259,8 @@ def test_selection_membership_implies_somewhere(mixed_bundle):
     for _ in range(50):
         x = random_section(mixed_bundle, rng)
         enum = enumerate_selection_spectrum(x, cap=64)
-        for a in enum.selections[:8]:
+        for row in enum.selections[:8]:
+            a = space.efunction(row)
             assert selection_spectrum_contains(x, a)
             assert spectrum_contains(x, a)
 
@@ -245,5 +300,5 @@ def test_cyclicity_explicit_mix():
     space = d.bundle.space
     enum = enumerate_selection_spectrum(d)
     p = PartitionOfUnity.from_labels(space, [0, 1])
-    a = mix(p, [enum.selections[0], enum.selections[3]])
+    a = mix(p, [space.efunction(enum.selections[0]), space.efunction(enum.selections[3])])
     assert selection_spectrum_contains(d, a)
