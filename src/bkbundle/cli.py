@@ -21,10 +21,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, gelfand_mazur, representation, spectrum, verification
 from .errors import AlgebraError, PreconditionError, ScenarioError
+from .fibers import DEFAULT_TOL
 from .inversion import NotInvertible, inverse, neumann_inverse, perturbed_inverse
 from .measure import EFunction, Idempotent
 from .sampling import derive_rng
@@ -32,6 +31,7 @@ from .scenario import (
     COMMANDS,
     Scenario,
     check_parameters,
+    decode_bound,
     decode_command,
     decode_section,
     encode_complex,
@@ -43,7 +43,12 @@ from .scenario import (
 
 __all__ = ["main", "execute", "build_parser"]
 
-_DEFAULTS = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
+_DEFAULTS = {
+    "tolerance": DEFAULT_TOL,
+    "samples": gelfand_mazur.DEFAULT_SAMPLES,
+    "seed": 0,
+    "cap": spectrum.DEFAULT_SELECTION_CAP,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,15 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _param(command: dict, key: str, flags: dict):
-    return command.get(key, flags[key])
-
-
 def _summary_floats(fn: EFunction) -> dict:
     return {atom: float(v.real) for atom, v in zip(fn.space.atoms, fn.values)}
 
 
-def _cmd_norms(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_norms(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Norm of one section."""
     u = scenario.sections[command["section"]]
     norm = u.norm()
@@ -95,11 +96,11 @@ def _cmd_norms(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str
     }
 
 
-def _cmd_invert(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_invert(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Certified inverse of one section."""
     name = command["section"]
     u = scenario.sections[name]
-    tol = float(_param(command, "tolerance", flags))
+    tol = command["tolerance"]
     detail: dict = {"section": name}
     x = scenario.bundle.unit() - u
     if float(x.norm().real_array().max()) < 1.0:
@@ -127,12 +128,11 @@ def _cmd_invert(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[st
     return "pass", detail
 
 
-def _cmd_perturb(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_perturb(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Perturbed inverse with its bound."""
     x = scenario.sections[command["section"]]
     h = scenario.sections[command["perturbation"]]
-    tol = float(_param(command, "tolerance", flags))
-    cert = perturbed_inverse(x, h, tol)
+    cert = perturbed_inverse(x, h, command["tolerance"])
     return "pass", {
         "section": command["section"],
         "perturbation": command["perturbation"],
@@ -144,14 +144,14 @@ def _cmd_perturb(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[s
     }
 
 
-def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_spectrum(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Fiberwise spectra and selections."""
     name = command["section"]
     props = spectrum.selection_spectrum_properties(
         scenario.sections[name],
-        samples=min(50, int(flags["samples"])),
-        tol=float(_param(command, "tolerance", flags)),
-        cap=int(_param(command, "cap", flags)),
+        samples=min(50, command["samples"]),
+        tol=command["tolerance"],
+        cap=command["cap"],
         rng=rng,
     )
     detail = {
@@ -179,7 +179,7 @@ def _cmd_spectrum(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[
     return "pass", detail
 
 
-def _cmd_reconstruct(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_reconstruct(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Rebuild the bundle from sections."""
     names = command.get("sections")
     if names is None:
@@ -187,9 +187,8 @@ def _cmd_reconstruct(scenario: Scenario, command: dict, flags: dict, rng) -> tup
     pool = [scenario.sections[n] for n in names]
     if not pool:
         return "fail", {"message": "no sections to reconstruct from"}
-    samples = int(_param(command, "samples", flags))
     rebuilt, report = representation.reconstruct_bundle(
-        pool, rng=rng, pair_samples=max(10, samples // 10)
+        pool, rng=rng, pair_samples=max(10, command["samples"] // 10)
     )
     detail = {
         "sections": list(names),
@@ -209,10 +208,9 @@ def _cmd_reconstruct(scenario: Scenario, command: dict, flags: dict, rng) -> tup
     return ("pass" if report.passed else "fail"), detail
 
 
-def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_gelfand_mazur(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Unit-support invertibility check."""
-    tol = float(_param(command, "tolerance", flags))
-    samples = int(_param(command, "samples", flags))
+    tol, samples = command["tolerance"], command["samples"]
     verdict = gelfand_mazur.check_unit_support_hypothesis(
         scenario.bundle, samples=samples, tol=tol, rng=rng
     )
@@ -232,10 +230,9 @@ def _cmd_gelfand_mazur(scenario: Scenario, command: dict, flags: dict, rng) -> t
     return "pass", detail
 
 
-def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_reverse_bound(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Reverse norm bound check."""
-    tol = float(_param(command, "tolerance", flags))
-    samples = int(_param(command, "samples", flags))
+    tol, samples = command["tolerance"], command["samples"]
     verdict = gelfand_mazur.check_reverse_bound_hypothesis(
         scenario.bundle, samples=samples, tol=tol, rng=rng
     )
@@ -261,10 +258,7 @@ def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> t
             detail["message"] = "witness pair failed replay"
             status = "fail"
     if "bound" in command:
-        m = EFunction(
-            scenario.space,
-            np.array([float(command["bound"][a]) for a in scenario.space.atoms], dtype=complex),
-        )
+        m = decode_bound(scenario.space, command["bound"], "bound")
         cert = gelfand_mazur.certify_reverse_bound(
             scenario.bundle, m, samples=samples, tol=tol, rng=rng
         )
@@ -284,15 +278,15 @@ def _cmd_reverse_bound(scenario: Scenario, command: dict, flags: dict, rng) -> t
     return status, detail
 
 
-def _cmd_verify(scenario: Scenario, command: dict, flags: dict, rng) -> tuple[str, dict]:
+def _cmd_verify(scenario: Scenario, command: dict, rng) -> tuple[str, dict]:
     """Full invariant suite."""
     report = verification.run_verification(
         scenario.bundle,
         scenario.sections,
-        seed=int(_param(command, "seed", flags)),
-        samples=int(_param(command, "samples", flags)),
-        tol=float(_param(command, "tolerance", flags)),
-        cap=int(_param(command, "cap", flags)),
+        seed=command["seed"],
+        samples=command["samples"],
+        tol=command["tolerance"],
+        cap=command["cap"],
     )
     detail = {
         "seed": report.seed,
@@ -325,14 +319,21 @@ _HANDLERS = {
 
 
 def execute(scenario: Scenario, commands, flags: dict) -> dict:
-    """Run a command list against a scenario and assemble the report."""
+    """Run a command list against a scenario and assemble the report.
+
+    A handler gets its row with every ``_DEFAULTS`` key resolved: the
+    row's value, else the flag's, cast to the default's type.
+    """
     results = []
-    for i, command in enumerate(commands):
-        name = command["command"]
+    for i, row in enumerate(commands):
+        name = row["command"]
+        command = dict(row)
+        for key, default in _DEFAULTS.items():
+            command[key] = type(default)(row.get(key, flags[key]))
         rng = derive_rng(int(flags["seed"]), "cli", name, str(i))
         started = time.perf_counter()
         try:
-            status, detail = _HANDLERS[name](scenario, command, flags, rng)
+            status, detail = _HANDLERS[name](scenario, command, rng)
         except PreconditionError as exc:
             status, detail = "precondition_failed", {"message": str(exc)}
             if exc.atom is not None:

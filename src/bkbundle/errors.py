@@ -8,6 +8,7 @@ __all__ = [
     "PreconditionError",
     "ConvergenceError",
     "CertificationError",
+    "NonFiniteError",
     "ScenarioError",
     "NotInvertible",
 ]
@@ -47,6 +48,11 @@ class ConvergenceError(AlgebraError):
 
 class CertificationError(AlgebraError):
     """A computed result failed its own a-posteriori certificate."""
+
+
+class NonFiniteError(AlgebraError, ValueError):
+    """An element would hold an infinite or NaN entry, for example after
+    arithmetic overflowed."""
 
 
 class ScenarioError(AlgebraError):

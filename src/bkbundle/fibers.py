@@ -26,6 +26,7 @@ from .errors import (
     CertificationError,
     ConvergenceError,
     MismatchError,
+    NonFiniteError,
     NotInvertible,
 )
 
@@ -36,8 +37,10 @@ KINDS = ("scalar", "matrix", "function")
 MAX_MATRIX_DIM = 8
 MAX_FUNCTION_POINTS = 64
 
-DEFAULT_INVERT_TOL = 1e-10
-DEFAULT_SPECTRUM_TOL = 1e-8
+# The package-wide defaults: the certification tolerance, and the
+# smallest singular value at or below which an element is not invertible.
+DEFAULT_TOL = 1e-8
+SIGMA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class FiberElement:
                 f"got {arr.shape}"
             )
         if not np.isfinite(arr).all():
-            raise ValueError("fiber element entries must be finite")
+            raise NonFiniteError("fiber element entries must be finite")
         arr.setflags(write=False)
         self.descriptor = descriptor
         self._data = arr
@@ -231,7 +234,7 @@ class FiberElement:
             return float(np.abs(self._data).min())
         return linalg.smallest_singular_value(self._data)
 
-    def inverse(self, tol: float = DEFAULT_INVERT_TOL) -> "FiberElement | NotInvertible":
+    def inverse(self, tol: float = SIGMA_TOL) -> "FiberElement | NotInvertible":
         """Multiplicative inverse, or the falsy NotInvertible value.
 
         Not invertible means: smallest singular value <= tol.  For the
@@ -263,7 +266,7 @@ class FiberElement:
             f"inverse residual {residual:.3e} not certifiable at tolerance {tol:.1e}"
         )
 
-    def spectrum(self, tol: float = DEFAULT_SPECTRUM_TOL) -> tuple[complex, ...]:
+    def spectrum(self, tol: float = DEFAULT_TOL) -> tuple[complex, ...]:
         """All eigenvalues (with multiplicity), sorted by (real, imag).
 
         Scalars and function elements read their spectra off directly.
@@ -292,22 +295,18 @@ class FiberElement:
 
         # Certify every root against det(z I - a).  The residual scale
         # makes the test mean "root of a relatively perturbed polynomial",
-        # which is what double precision can actually promise.
-        failures = []
+        # which is what double precision can actually promise.  A NaN
+        # root (overflowed coefficients) fails both comparisons.
         for z in roots:
             powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
             scale = max(1.0, float((np.abs(coeffs) * powers).sum()))
             residual = abs(complex(np.polyval(coeffs, z)))
-            if residual > tol * scale:
-                failures.append((complex(z), residual))
-            elif abs(z) > norm + tol:
-                failures.append((complex(z), residual))
-        if failures:
-            raise ConvergenceError(
-                f"eigenvalue iteration failed certification after "
-                f"{iterations} iterations",
-                partial=[complex(z) for z in roots],
-            )
+            if not (residual <= tol * scale and abs(z) <= norm + tol):
+                raise ConvergenceError(
+                    f"eigenvalue iteration failed certification after "
+                    f"{iterations} iterations",
+                    partial=[complex(z) for z in roots],
+                )
         return [complex(z) for z in roots]
 
     # --- misc ---

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bundle import Bundle, Section
 from .errors import CertificationError, MismatchError, PreconditionError
-from .fibers import FiberDescriptor, FiberElement
+from .fibers import DEFAULT_TOL, FiberDescriptor, FiberElement
 from .inversion import _check_tolerance, is_invertible
 from .measure import EFunction, Idempotent, PartitionOfUnity, mix
 from .sampling import as_rng, random_section
@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 ISO_TOL = 1e-10
+# The default number of random samples a hypothesis check evaluates.
+DEFAULT_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def is_zero_divisor_witness(x: Section, y: Section, part: Idempotent) -> bool:
 
 
 def check_unit_support_hypothesis(
-    bundle: Bundle, samples: int = 500, tol: float = 1e-8, rng=None
+    bundle: Bundle, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL, rng=None
 ) -> GMVerdict:
     """Decide "every full-support section is invertible" for a bundle.
 
@@ -291,7 +293,7 @@ def check_unit_support_hypothesis(
 
 
 def check_reverse_bound_hypothesis(
-    bundle: Bundle, samples: int = 500, tol: float = 1e-8, rng=None
+    bundle: Bundle, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL, rng=None
 ) -> GMVerdict:
     """Decide whether some base function m can satisfy
     ``norm(x) norm(y) <= m norm(x y)`` for all sections.
@@ -426,7 +428,7 @@ def certify_reverse_bound(
     bundle: Bundle,
     m: EFunction,
     samples: int = 200,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     rng=None,
 ) -> ReverseBoundCertificate:
     """Check a candidate reverse bound part by part.

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bundle import Section, mix_sections
 from .errors import CertificationError, NotInvertible, PreconditionError
+from .fibers import DEFAULT_TOL, SIGMA_TOL
 from .measure import EFunction, PartitionOfUnity
 
 __all__ = [
@@ -42,9 +43,8 @@ __all__ = [
 ]
 
 NEUMANN_ORDER_CAP = 10**6
-DEFAULT_TOL = 1e-8
-SIGMA_TOL = 1e-10
 BOUND_SLACK_TOL = 1e-9
+MIX_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,7 @@ def is_invertible(x: Section, tol: float = SIGMA_TOL) -> bool:
     return isinstance(inverse(x, tol), Section)
 
 
-def perturbed_inverse(
-    x: Section,
-    h: Section,
-    tol: float = DEFAULT_TOL,
-    sigma_tol: float = SIGMA_TOL,
-) -> InverseCertificate:
+def perturbed_inverse(x: Section, h: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     """Certified inverse of ``x + h`` for a small perturbation ``h``.
 
     Requires ``x`` invertible and ``2 * norm(h) * norm(x^{-1}) < 1`` at
@@ -192,7 +187,7 @@ def perturbed_inverse(
         raise PreconditionError("x and h live over different bundles")
     space = x.bundle.space
 
-    xinv = inverse(x, sigma_tol)
+    xinv = inverse(x)
     if isinstance(xinv, NotInvertible):
         raise PreconditionError(
             f"x is not invertible at atoms {list(xinv.atoms)}", atom=xinv.atoms[0]
@@ -233,23 +228,18 @@ def perturbed_inverse(
     return InverseCertificate(result, residual, series.truncation_order, lhs, rhs)
 
 
-def inverse_of_mix(
-    partition: PartitionOfUnity,
-    sections,
-    tol: float = 1e-10,
-    sigma_tol: float = SIGMA_TOL,
-) -> Section:
+def inverse_of_mix(partition: PartitionOfUnity, sections) -> Section:
     """Inverse of a mixture, checked against the mixture of inverses.
 
     Every member must be invertible.  The two evaluation orders (mix
     then invert, invert then mix) are compared pointwise and must agree
-    within ``tol``; they select identical fiber computations here, so
-    the comparison is exact up to bitwise identity.
+    within ``MIX_AGREEMENT_TOL``; they select identical fiber
+    computations here, so the comparison is exact up to bitwise identity.
     """
     sections = list(sections)
     member_inverses = []
     for k, s in enumerate(sections):
-        inv = inverse(s, sigma_tol)
+        inv = inverse(s)
         if isinstance(inv, NotInvertible):
             raise PreconditionError(
                 f"mix member {k} is not invertible at atoms {list(inv.atoms)}",
@@ -258,7 +248,7 @@ def inverse_of_mix(
         member_inverses.append(inv)
 
     mixed = mix_sections(partition, sections)
-    direct = inverse(mixed, sigma_tol)
+    direct = inverse(mixed)
     if isinstance(direct, NotInvertible):
         raise CertificationError(
             f"mixture lost invertibility at atoms {list(direct.atoms)}"
@@ -266,8 +256,8 @@ def inverse_of_mix(
     glued = mix_sections(partition, member_inverses)
 
     gap = (direct - glued).norm().max_abs()
-    if gap > tol:
+    if gap > MIX_AGREEMENT_TOL:
         raise CertificationError(
-            f"mix/invert order disagreement {gap:.3e} exceeds {tol:.1e}"
+            f"mix/invert order disagreement {gap:.3e} exceeds {MIX_AGREEMENT_TOL:.1e}"
         )
     return direct

@@ -299,7 +299,6 @@ def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
 def polynomial_roots(
     coeffs: np.ndarray,
     radius: float,
-    step_tol: float = ROOT_STEP_TOL,
     max_iter: int = ROOT_MAX_ITER,
 ) -> tuple[np.ndarray, bool, int]:
     """All roots of a monic polynomial by Durand-Kerner iteration.
@@ -336,7 +335,7 @@ def polynomial_roots(
             continue
         steps = values / denom
         z = z - steps
-        if float(np.abs(steps).max()) <= step_tol * scale:
+        if float(np.abs(steps).max()) <= ROOT_STEP_TOL * scale:
             return z, True, iteration
     return z, False, max_iter
 

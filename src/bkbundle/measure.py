@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchError, PreconditionError
+from .errors import MismatchError, NonFiniteError, PreconditionError
 
 __all__ = [
     "AtomicMeasureSpace",
@@ -117,7 +117,7 @@ def _coerce_values(space: AtomicMeasureSpace, values) -> np.ndarray:
             f"expected {len(space)} values, got shape {arr.shape}"
         )
     if not np.isfinite(arr.view(float)).all():
-        raise ValueError("function values must be finite")
+        raise NonFiniteError("function values must be finite")
     return arr
 
 

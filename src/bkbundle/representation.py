@@ -138,8 +138,8 @@ class ReconstructionReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def record(self, name: str, max_error: float, tol: float, detail: str = ""):
-        self.checks.append(CheckRecord(name, max_error <= tol, float(max_error), detail))
+    def record(self, name: str, max_error: float, tol: float):
+        self.checks.append(CheckRecord(name, max_error <= tol, float(max_error)))
 
 
 def reconstruct_bundle(

@@ -68,18 +68,14 @@ def random_real_efunction(
     return EFunction(space, rng.uniform(low, high, len(space)).astype(complex))
 
 
-def random_fiber_element(
-    descriptor: FiberDescriptor, rng, scale: float = 1.0
-) -> FiberElement:
+def random_fiber_element(descriptor: FiberDescriptor, rng) -> FiberElement:
     rng = as_rng(rng)
-    return FiberElement(descriptor, _complex_array(rng, descriptor.shape, scale))
+    return FiberElement(descriptor, _complex_array(rng, descriptor.shape, 1.0))
 
 
-def random_section(bundle: Bundle, rng, scale: float = 1.0) -> Section:
+def random_section(bundle: Bundle, rng) -> Section:
     rng = as_rng(rng)
-    return Section(
-        bundle, [random_fiber_element(d, rng, scale) for d in bundle.descriptors]
-    )
+    return Section(bundle, [random_fiber_element(d, rng) for d in bundle.descriptors])
 
 
 def random_section_with_norm(bundle: Bundle, rng, profile: EFunction) -> Section:
@@ -101,14 +97,13 @@ def random_section_with_norm(bundle: Bundle, rng, profile: EFunction) -> Section
     return Section(bundle, values)
 
 
-def random_invertible_section(
-    bundle: Bundle, rng, min_sigma: float = 0.05, attempts: int = 100
-) -> Section:
-    """A random section bounded away from singularity at every atom."""
+def random_invertible_section(bundle: Bundle, rng, min_sigma: float = 0.05) -> Section:
+    """A random section bounded away from singularity at every atom (the
+    unit at an atom where 100 draws all miss ``min_sigma``)."""
     rng = as_rng(rng)
     values = []
     for d in bundle.descriptors:
-        for _ in range(attempts):
+        for _ in range(100):
             el = random_fiber_element(d, rng)
             if el.smallest_singular_value() > min_sigma:
                 values.append(el)
@@ -118,14 +113,10 @@ def random_invertible_section(
     return Section(bundle, values)
 
 
-def random_partition(
-    space: AtomicMeasureSpace, rng, max_parts: int | None = None
-) -> PartitionOfUnity:
-    """A random partition of unity with between 1 and ``max_parts`` parts."""
+def random_partition(space: AtomicMeasureSpace, rng) -> PartitionOfUnity:
+    """A random partition of unity with between 1 and ``len(space)`` parts."""
     rng = as_rng(rng)
-    if max_parts is None:
-        max_parts = len(space)
-    parts = int(rng.integers(1, max_parts + 1))
+    parts = int(rng.integers(1, len(space) + 1))
     labels = rng.integers(0, parts, len(space))
     masks = [labels == k for k in range(parts)]
     return PartitionOfUnity([Idempotent(space, m) for m in masks])

@@ -18,11 +18,14 @@ The format (UTF-8 JSON, all complex numbers as ``[re, im]`` pairs):
 
 Fiber literals: a scalar value is one ``[re, im]`` pair; a matrix value is
 a flat row-major list of ``size * size`` pairs; a function value is a list
-of ``size`` pairs.  Every section must supply a value for every atom.
+of ``size`` pairs.
 
 Parse failures raise :class:`ScenarioError` carrying the JSON field path,
 e.g. ``sections.x.w1``, so a malformed literal names both the section and
-the atom.
+the atom.  The three atom-keyed objects (a section literal, ``fibers``
+and a reverse-bound ``bound``) go through one decoder, which needs a key
+for every atom and reports in one order: a key that is no atom at
+``X.key``, then a missing atom at ``X``, then a bad value at ``X.atom``.
 
 ``COMMANDS`` is the one table of commands and the parameters each takes.
 The CLI builds its subcommands from it and :func:`decode_command` checks
@@ -56,6 +59,7 @@ __all__ = [
     "decode_fiber_value",
     "encode_fiber_value",
     "decode_section",
+    "decode_bound",
     "encode_section",
     "encode_efunction",
     "encode_rows",
@@ -129,23 +133,13 @@ def decode_fiber_value(descriptor: FiberDescriptor, obj, path: str) -> FiberElem
     if descriptor.kind == "scalar":
         return FiberElement.scalar(decode_complex(obj, path))
     entries = _expect(obj, list, path, "a list of [re, im] pairs")
-    if descriptor.kind == "matrix":
-        n = descriptor.size
-        if len(entries) != n * n:
-            raise ScenarioError(
-                f"matrix({n}) literal needs {n * n} row-major entries, got {len(entries)}",
-                path,
-            )
-        flat = [decode_complex(e, f"{path}[{i}]") for i, e in enumerate(entries)]
-        return FiberElement(descriptor, np.array(flat).reshape(n, n))
-    if len(entries) != descriptor.size:
+    if len(entries) != descriptor.dim:
         raise ScenarioError(
-            f"function({descriptor.size}) literal needs {descriptor.size} entries, "
-            f"got {len(entries)}",
+            f"{descriptor.label()} literal needs {descriptor.dim} entries, got {len(entries)}",
             path,
         )
     flat = [decode_complex(e, f"{path}[{i}]") for i, e in enumerate(entries)]
-    return FiberElement(descriptor, np.array(flat))
+    return FiberElement(descriptor, np.array(flat).reshape(descriptor.shape))
 
 
 def encode_fiber_value(element: FiberElement):
@@ -154,21 +148,39 @@ def encode_fiber_value(element: FiberElement):
     return [encode_complex(z) for z in np.asarray(element.data).reshape(-1)]
 
 
-def decode_section(bundle: Bundle, obj, path: str) -> Section:
-    table = _expect(obj, dict, path, "an atom-to-literal object")
-    extra = set(table) - set(bundle.space.atoms)
-    if extra:
-        raise ScenarioError(
-            f"unknown atom {sorted(extra)[0]!r}", f"{path}.{sorted(extra)[0]}"
-        )
-    values = {}
-    for atom in bundle.space.atoms:
+def _atom_table(atoms, obj, path: str, what: str, decode) -> list:
+    """The values of an atom-keyed object, in atom order, each decoded by
+    ``decode(atom, value, path)``.
+
+    Errors come in one order: the first key that is no atom (in document
+    order) at ``path.key``, then the first atom without a key (in atom
+    order) at ``path``, then whatever ``decode`` raises at ``path.atom``.
+    """
+    table = _expect(obj, dict, path, what)
+    for key in table:
+        if key not in atoms:
+            raise ScenarioError(f"unknown atom {key!r}", f"{path}.{key}")
+    for atom in atoms:
         if atom not in table:
             raise ScenarioError(f"missing value for atom {atom!r}", path)
-        values[atom] = decode_fiber_value(
-            bundle.descriptor(atom), table[atom], f"{path}.{atom}"
-        )
-    return bundle.section(values)
+    return [decode(atom, table[atom], f"{path}.{atom}") for atom in atoms]
+
+
+def decode_section(bundle: Bundle, obj, path: str) -> Section:
+    values = _atom_table(
+        bundle.space.atoms, obj, path, "an atom-to-literal object",
+        lambda atom, literal, p: decode_fiber_value(bundle.descriptor(atom), literal, p),
+    )
+    return Section(bundle, values)
+
+
+def decode_bound(space: AtomicMeasureSpace, obj, path: str) -> EFunction:
+    """A reverse-bound candidate: one finite real number per atom."""
+    values = _atom_table(
+        space.atoms, obj, path, "an atom-to-number object",
+        lambda atom, number, p: _finite_real(number, p, "a real number"),
+    )
+    return EFunction(space, np.array(values, dtype=complex))
 
 
 def encode_section(section: Section) -> dict:
@@ -277,16 +289,7 @@ def decode_command(obj, prefix: str, sections: dict, space) -> dict:
             if not isinstance(ref, str) or ref not in sections:
                 raise ScenarioError(f"unknown section {ref!r}", f"{prefix}sections[{i}]")
     if "bound" in row:
-        table = _expect(row["bound"], dict, f"{prefix}bound", "an atom-to-number object")
-        for atom, value in table.items():
-            if atom not in space.atoms:
-                raise ScenarioError(f"unknown atom {atom!r}", f"{prefix}bound.{atom}")
-            _finite_real(value, f"{prefix}bound.{atom}", "a real number")
-        missing = set(space.atoms) - set(table)
-        if missing:
-            raise ScenarioError(
-                f"missing value for atom {sorted(missing)[0]!r}", f"{prefix}bound"
-            )
+        decode_bound(space, row["bound"], f"{prefix}bound")
     check_parameters(row, prefix)
     return dict(row)
 
@@ -301,17 +304,11 @@ def parse_scenario(data, source: str = "<memory>") -> Scenario:
         raise ScenarioError("a space is required", "space")
     space = _decode_space(top["space"])
 
-    fibers = _expect(top.get("fibers"), dict, "fibers", "an atom-to-descriptor object")
-    extra = set(fibers) - set(space.atoms)
-    if extra:
-        raise ScenarioError(f"unknown atom {sorted(extra)[0]!r}", f"fibers.{sorted(extra)[0]}")
-    missing = set(space.atoms) - set(fibers)
-    if missing:
-        raise ScenarioError(f"missing fiber for atom {sorted(missing)[0]!r}", "fibers")
-    descriptors = {
-        atom: _decode_descriptor(fibers[atom], f"fibers.{atom}") for atom in space.atoms
-    }
-    bundle = Bundle.of(space, descriptors)
+    descriptors = _atom_table(
+        space.atoms, top.get("fibers"), "fibers", "an atom-to-descriptor object",
+        lambda atom, row, p: _decode_descriptor(row, p),
+    )
+    bundle = Bundle(space, descriptors)
 
     sections: dict[str, Section] = {}
     raw_sections = top.get("sections", {})

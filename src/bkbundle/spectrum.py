@@ -21,6 +21,7 @@ import numpy as np
 
 from .bundle import Section
 from .errors import MismatchError
+from .fibers import DEFAULT_TOL
 from .measure import EFunction
 from .sampling import as_rng, random_partition
 
@@ -36,7 +37,6 @@ __all__ = [
     "DEFAULT_SELECTION_CAP",
 ]
 
-DEFAULT_TOL = 1e-8
 DEFAULT_SELECTION_CAP = 4096
 
 

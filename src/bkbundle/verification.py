@@ -22,7 +22,7 @@ import numpy as np
 from . import gelfand_mazur, representation, spectrum
 from .bundle import Bundle, Section, d_decompose, lifting, mix_sections, vector_lifting
 from .errors import AlgebraError
-from .fibers import FiberElement, fill_norms
+from .fibers import DEFAULT_TOL, FiberElement, fill_norms
 from .inversion import (
     NotInvertible,
     inverse,
@@ -293,9 +293,9 @@ def _check_lifting_axioms(out, rng, bundle, sections, samples, tol, cap):
 # --- inversion checks ---
 
 
-def _contraction_section(bundle, rng, top=0.9):
+def _contraction_section(bundle, rng):
     space = bundle.space
-    profile = random_real_efunction(space, rng, 0.02, top)
+    profile = random_real_efunction(space, rng, 0.02, 0.9)
     return random_section_with_norm(bundle, rng, profile)
 
 
@@ -678,9 +678,9 @@ def run_verification(
     bundle: Bundle,
     sections: dict[str, Section] | None = None,
     seed: int = 0,
-    samples: int = 500,
-    tol: float = 1e-8,
-    cap: int = 4096,
+    samples: int = gelfand_mazur.DEFAULT_SAMPLES,
+    tol: float = DEFAULT_TOL,
+    cap: int = spectrum.DEFAULT_SELECTION_CAP,
 ) -> VerificationReport:
     """Run the whole invariant suite against a bundle.
 

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from bkbundle import (
     AtomicMeasureSpace,
@@ -372,7 +373,7 @@ def test_criterion_9_deterministic_verification():
                 "-m",
                 "bkbundle.cli",
                 "run",
-                "scenarios/mixed.json",
+                str(Path(__file__).resolve().parent.parent / "scenarios" / "mixed.json"),
                 "--report",
                 "json",
                 "--seed",

@@ -1,0 +1,99 @@
+"""Non-finite numbers that arise inside a computation: a NaN eigenvalue
+fails spectrum certification, and section arithmetic that overflows is a
+failed command (exit 1, a JSON report), never a traceback."""
+
+import json
+
+import numpy as np
+import pytest
+
+from bkbundle import AtomicMeasureSpace, EFunction, FiberElement
+from bkbundle.cli import main
+from bkbundle.errors import AlgebraError, ConvergenceError
+
+_rng = np.random.default_rng(0)
+
+# the characteristic polynomial of either matrix overflows, and the root
+# iteration returns NaN for every root
+OVERFLOWING = {
+    "scaled-identity": 1e200 * np.eye(2),
+    "random-8": 1e38 * (_rng.standard_normal((8, 8)) + 1j * _rng.standard_normal((8, 8))),
+}
+
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def _reject(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def _literal(value: np.ndarray):
+    pairs = [[z.real, z.imag] for z in value.ravel().astype(complex)]
+    return pairs[0] if value.ndim == 0 else pairs
+
+
+def _scenario(tmp_path, fibers: dict, sections: dict) -> str:
+    doc = {
+        "space": [{"atom": atom, "weight": 1.0} for atom in fibers],
+        "fibers": fibers,
+        "sections": {
+            name: {atom: _literal(v) for atom, v in section.items()}
+            for name, section in sections.items()
+        },
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _failed_result(capsys, argv) -> dict:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (result,) = json.loads(captured.out, parse_constant=_reject)["results"]
+    assert result["status"] == "fail"
+    return result
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_nan_eigenvalues_fail_certification(name):
+    with pytest.raises(ConvergenceError):
+        FiberElement.matrix(OVERFLOWING[name]).spectrum()
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_spectrum_command_reports_a_nan_spectrum_as_failure(tmp_path, capsys, name):
+    a = OVERFLOWING[name]
+    path = _scenario(tmp_path, {"a": {"kind": "matrix", "size": len(a)}}, {"x": {"a": a}})
+    result = _failed_result(capsys, ["spectrum", path, "--section", "x"])
+    assert "failed certification" in result["detail"]["message"]
+
+
+def test_overflowing_reconstruct_is_a_failed_command(tmp_path, capsys):
+    fibers = {"w0": {"kind": "scalar"}, "w1": {"kind": "scalar"}}
+    x = {"w0": np.array(1e200), "w1": np.array(1e200 + 1e200j)}
+    path = _scenario(tmp_path, fibers, {"x": x})
+    result = _failed_result(capsys, ["reconstruct", path, "--sections", "x"])
+    assert result["detail"]["message"] == "fiber element entries must be finite"
+
+
+def test_overflowing_verify_is_a_failed_command(tmp_path, capsys):
+    sections = {
+        "x": {"a": np.array([[1e300, 2e300], [1e300j, 1e300]])},
+        "h": {"a": np.array([[1e300, 0.0], [1e300, 1e300]])},
+    }
+    path = _scenario(tmp_path, {"a": {"kind": "matrix", "size": 2}}, sections)
+    result = _failed_result(capsys, ["verify", path, "--samples", "2"])
+    assert result["detail"]["message"] == "fiber element entries must be finite"
+
+
+def test_non_finite_entries_raise_an_algebra_error_that_is_a_value_error():
+    space = AtomicMeasureSpace.uniform(["a"])
+    for make in (
+        lambda: FiberElement.scalar(1e300) * FiberElement.scalar(1e300),
+        lambda: FiberElement.matrix([[np.inf]]),
+        lambda: EFunction(space, [1e300]) * EFunction(space, [1e300]),
+    ):
+        with pytest.raises(AlgebraError) as err:
+            make()
+        assert isinstance(err.value, ValueError)

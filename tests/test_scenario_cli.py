@@ -5,6 +5,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,7 +242,8 @@ def test_witness_replay_from_report(tmp_path):
 
 def test_shipped_scenarios_pass():
     for name in ("scalar", "matrix2", "mixed"):
-        result = run_cli(["run", f"scenarios/{name}.json", "--report", "json"])
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+        result = run_cli(["run", str(path), "--report", "json"])
         assert result.returncode == 0, f"{name}: {result.stderr}"
         report = json.loads(result.stdout)
         assert report["passed"] is True
