@@ -21,6 +21,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, gelfand_mazur, representation, spectrum, verification
 from .errors import AlgebraError, PreconditionError, ScenarioError
 from .fibers import DEFAULT_TOL
@@ -333,7 +335,9 @@ def execute(scenario: Scenario, commands, flags: dict) -> dict:
         rng = derive_rng(int(flags["seed"]), "cli", name, str(i))
         started = time.perf_counter()
         try:
-            status, detail = _HANDLERS[name](scenario, command, rng)
+            # non-finite results raise NonFiniteError; stderr is for usage errors
+            with np.errstate(all="ignore"):
+                status, detail = _HANDLERS[name](scenario, command, rng)
         except PreconditionError as exc:
             status, detail = "precondition_failed", {"message": str(exc)}
             if exc.atom is not None:

@@ -2,10 +2,15 @@
 
 Each check draws its own deterministic stream (seed plus check name), so
 checks can run in any order, or alone, without shifting each other's
-samples.  ``run_verification`` hands each check a fresh ``CheckOutcome``
-and that stream; the check counts its cases and records at most a
-handful of replayable witnesses.  The report passes only when every
-check does.
+samples.  A check is a generator: for each case it judges it yields one
+``_Evidence`` record (the cases judged, the error folded into
+``max_error``, the witnesses that failed, an optional note).  One runner,
+``_outcome``, keeps the books of a check: it sums the cases, keeps the
+largest error and the first five witnesses, and fails a check that
+judged no case.  An ``AlgebraError`` raised inside a check (arithmetic on
+an overflowing scenario section, say) fails that check alone, with the
+message as its witness and the cases it judged before; the other checks
+still run.  The report passes only when every check does.
 
 The suite intentionally re-derives expected values through independent
 routes where the library offers two (series inverse against exact
@@ -15,7 +20,9 @@ membership through eigenvalue tables against singular value tests).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,18 +79,48 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
+class _Evidence(NamedTuple):
+    """What a check yields: ``cases`` judged (0 for a failure that judged
+    no case), the error folded into ``max_error``, the witnesses of the
+    laws that failed, and a note for the report."""
+
+    cases: int = 1
+    error: float = 0.0
+    failed: Sequence[dict] = ()
+    note: str = ""
+
+
+def _case(*judged, error=0.0, cases=1, note="") -> _Evidence:
+    """The record of one case from its ``(failed, witness)`` law pairs."""
+    return _Evidence(cases, error, [witness for failed, witness in judged if failed], note)
+
+
+def _outcome(name: str, evidence) -> CheckOutcome:
+    """The outcome of one check from the records it yields, in order."""
+    out = CheckOutcome(name, True, 0)
+    try:
+        for ev in evidence:
+            out.cases += ev.cases
+            out.max_error = max(out.max_error, ev.error)
+            for witness in ev.failed:
+                out.fail(witness)
+            if ev.note:
+                out.detail = ev.note
+    except AlgebraError as exc:
+        out.fail({"error": str(exc)})
+    if out.cases == 0:
+        out.fail({"law": "at least one case evaluated"})
+    return out
+
+
 def _distinct_descriptors(bundle: Bundle):
-    seen = []
-    for d in bundle.descriptors:
-        if d not in seen:
-            seen.append(d)
-    return seen
+    return list(dict.fromkeys(bundle.descriptors))
 
 
 # --- base algebra checks ---
 
 
-def _check_efunction_laws(out, rng, bundle, sections, samples, tol, cap):
+def _check_efunction_laws(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 200)):
         a = random_efunction(space, rng)
@@ -96,29 +133,25 @@ def _check_efunction_laws(out, rng, bundle, sections, samples, tol, cap):
             "distrib": (a * (b + c)) - (a * b + a * c),
             "unit": (a * space.ones()) - a,
         }
-        for name, diff in checks.items():
-            err = diff.max_abs()
-            out.max_error = max(out.max_error, err)
-            if err > 1e-12:
-                out.fail({"law": name, "error": err})
-        out.cases += 1
+        errors = {name: diff.max_abs() for name, diff in checks.items()}
+        yield _case(*[(err > 1e-12, {"law": name, "error": err}) for name, err in errors.items()],
+                    error=max(errors.values()))
 
 
-def _check_mix_locality(out, rng, bundle, sections, samples, tol, cap):
+def _check_mix_locality(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 200)):
         p = random_partition(space, rng)
         fns = [random_efunction(space, rng) for _ in p]
         mixed = mix(p, fns)
-        for part, fn in zip(p, fns):
-            if not np.array_equal(
-                mixed.values[part.mask], fn.values[part.mask]
-            ):
-                out.fail({"law": "selection is exact"})
-        out.cases += 1
+        yield _case(*[
+            (not np.array_equal(mixed.values[part.mask], fn.values[part.mask]),
+             {"law": "selection is exact"})
+            for part, fn in zip(p, fns)
+        ])
 
 
-def _check_order_convergence(out, rng, bundle, sections, samples, tol, cap):
+def _check_order_convergence(rng, bundle, sections, samples, tol, cap):
     # On a finite atomic base, order convergence is pointwise convergence;
     # a geometric perturbation must converge at every atom and uniformly.
     space = bundle.space
@@ -129,22 +162,24 @@ def _check_order_convergence(out, rng, bundle, sections, samples, tol, cap):
         for n in range(0, 61, 10):
             an = a + (2.0 ** (-n)) * b
             sup_gaps.append((an - a).max_abs())
-        if not all(x >= y for x, y in zip(sup_gaps, sup_gaps[1:])):
-            out.fail({"law": "monotone decrease"})
-        if sup_gaps[-1] > 1e-15 * max(1.0, b.max_abs()):
-            out.fail({"law": "limit reached", "residual": sup_gaps[-1]})
-        out.cases += 1
+        yield _case(
+            (not all(x >= y for x, y in zip(sup_gaps, sup_gaps[1:])), {"law": "monotone decrease"}),
+            (sup_gaps[-1] > 1e-15 * max(1.0, b.max_abs()),
+             {"law": "limit reached", "residual": sup_gaps[-1]}),
+        )
 
 
 # --- fiber checks ---
 
 
-def _check_fiber_norm_axioms(out, rng, bundle, sections, samples, tol, cap):
+def _check_fiber_norm_axioms(rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
-        if FiberElement.unit(desc).norm() != 1.0:
-            out.fail({"kind": desc.label(), "law": "unit norm"})
-        if FiberElement.zero(desc).norm() != 0.0:
-            out.fail({"kind": desc.label(), "law": "zero norm"})
+        kind = desc.label()
+        yield _case(
+            (FiberElement.unit(desc).norm() != 1.0, {"kind": kind, "law": "unit norm"}),
+            (FiberElement.zero(desc).norm() != 0.0, {"kind": kind, "law": "zero norm"}),
+            cases=0,
+        )
         for _ in range(min(samples, 300)):
             a = random_fiber_element(desc, rng)
             b = random_fiber_element(desc, rng)
@@ -153,16 +188,14 @@ def _check_fiber_norm_axioms(out, rng, bundle, sections, samples, tol, cap):
             err = abs((c * a).norm() - abs(c) * na)
             err = max(err, (a + b).norm() - (na + nb))
             scale = max(1.0, abs(c) * na)
-            out.max_error = max(out.max_error, err / scale)
-            if err > 1e-9 * scale:
-                out.fail({"kind": desc.label(), "error": err})
-            out.cases += 1
+            yield _case((err > 1e-9 * scale, {"kind": kind, "error": err}), error=err / scale)
 
 
-def _check_fiber_submultiplicative(out, rng, bundle, sections, samples, tol, cap):
+def _check_fiber_submultiplicative(rng, bundle, sections, samples, tol, cap):
     # the norms of each block of 1,000 (a, b, a b) triples are taken in
     # one stacked kernel call per matrix size
     for desc in _distinct_descriptors(bundle):
+        kind = desc.label()
         cases = max(samples, 1000)
         for start in range(0, cases, 1000):
             triples = []
@@ -173,26 +206,23 @@ def _check_fiber_submultiplicative(out, rng, bundle, sections, samples, tol, cap
             fill_norms([el for triple in triples for el in triple])
             for a, b, ab in triples:
                 gap = ab.norm() - a.norm() * b.norm()
-                out.max_error = max(out.max_error, gap)
-                if gap > 1e-9 * max(1.0, a.norm() * b.norm()):
-                    out.fail({"kind": desc.label(), "gap": gap})
-                out.cases += 1
+                bound = 1e-9 * max(1.0, a.norm() * b.norm())
+                yield _case((gap > bound, {"kind": kind, "gap": gap}), error=gap)
 
 
-def _check_fiber_spectral_radius(out, rng, bundle, sections, samples, tol, cap):
+def _check_fiber_spectral_radius(rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
+        kind = desc.label()
         for _ in range(min(samples, 100)):
             a = random_fiber_element(desc, rng)
             radius = max(abs(z) for z in a.spectrum(tol))
             gap = radius - a.norm()
-            out.max_error = max(out.max_error, gap)
-            if gap > 1e-8:
-                out.fail({"kind": desc.label(), "excess": gap})
-            out.cases += 1
+            yield _case((gap > 1e-8, {"kind": kind, "excess": gap}), error=gap)
 
 
-def _check_fiber_inverse_involution(out, rng, bundle, sections, samples, tol, cap):
+def _check_fiber_inverse_involution(rng, bundle, sections, samples, tol, cap):
     for desc in _distinct_descriptors(bundle):
+        kind = desc.label()
         count = 0
         while count < min(samples, 200):
             a = random_fiber_element(desc, rng)
@@ -201,54 +231,49 @@ def _check_fiber_inverse_involution(out, rng, bundle, sections, samples, tol, ca
             count += 1
             inv = a.inverse()
             if isinstance(inv, NotInvertible):
-                out.fail({"kind": desc.label(), "law": "inverse exists"})
+                yield _Evidence(0, failed=[{"kind": kind, "law": "inverse exists"}])
                 continue
             back = inv.inverse()
             if isinstance(back, NotInvertible):
-                out.fail({"kind": desc.label(), "law": "inverse invertible"})
+                yield _Evidence(0, failed=[{"kind": kind, "law": "inverse invertible"}])
                 continue
             err = (back - a).norm()
-            out.max_error = max(out.max_error, err)
-            if err > 1e-8 * max(1.0, a.norm()):
-                out.fail({"kind": desc.label(), "error": err})
-            out.cases += 1
+            yield _case((err > 1e-8 * max(1.0, a.norm()), {"kind": kind, "error": err}), error=err)
 
 
 # --- section algebra checks ---
 
 
-def _check_bk_axioms(out, rng, bundle, sections, samples, tol, cap):
+def _check_bk_axioms(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
-    ones = space.ones()
-    unit_gap = (bundle.unit().norm() - ones).max_abs()
-    if unit_gap > 1e-12:
-        out.fail({"law": "unit norm", "error": unit_gap})
-    if bundle.zero().norm().max_abs() != 0.0:
-        out.fail({"law": "zero norm"})
+    unit_gap = (bundle.unit().norm() - space.ones()).max_abs()
+    yield _case(
+        (unit_gap > 1e-12, {"law": "unit norm", "error": unit_gap}),
+        (bundle.zero().norm().max_abs() != 0.0, {"law": "zero norm"}),
+        cases=0,
+    )
     for _ in range(samples):
         u = random_section(bundle, rng)
         v = random_section(bundle, rng)
         a = random_efunction(space, rng)
         nu = u.norm().real_array()
         nv = v.norm().real_array()
-        if (nu < 0.0).any():
-            out.fail({"law": "positivity"})
         hom = np.abs((a * u).norm().real_array() - np.abs(a.values) * nu)
         tri = (u + v).norm().real_array() - (nu + nv)
         sub = (u * v).norm().real_array() - nu * nv
         scale = max(1.0, float(nu.max()), float((nu * nv).max()))
         err = max(float(hom.max()), float(tri.max()), float(sub.max()))
-        out.max_error = max(out.max_error, err / scale)
-        if float(hom.max()) > 1e-9 * max(1.0, float((np.abs(a.values) * nu).max())):
-            out.fail({"law": "module homogeneity", "error": float(hom.max())})
-        if float(tri.max()) > 1e-9 * scale:
-            out.fail({"law": "triangle", "error": float(tri.max())})
-        if float(sub.max()) > 1e-9 * scale:
-            out.fail({"law": "submultiplicative", "error": float(sub.max())})
-        out.cases += 1
+        yield _case(
+            ((nu < 0.0).any(), {"law": "positivity"}),
+            (float(hom.max()) > 1e-9 * max(1.0, float((np.abs(a.values) * nu).max())),
+             {"law": "module homogeneity", "error": float(hom.max())}),
+            (float(tri.max()) > 1e-9 * scale, {"law": "triangle", "error": float(tri.max())}),
+            (float(sub.max()) > 1e-9 * scale, {"law": "submultiplicative", "error": float(sub.max())}),
+            error=err / scale,
+        )
 
 
-def _check_norm_decomposition(out, rng, bundle, sections, samples, tol, cap):
+def _check_norm_decomposition(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         u = random_section(bundle, rng)
@@ -262,13 +287,10 @@ def _check_norm_decomposition(out, rng, bundle, sections, samples, tol, cap):
             (x1.norm() - lam1).max_abs(),
             (x2.norm() - lam2).max_abs(),
         )
-        out.max_error = max(out.max_error, err)
-        if err > 1e-10 * max(1.0, norm.max_abs()):
-            out.fail({"error": err})
-        out.cases += 1
+        yield _case((err > 1e-10 * max(1.0, norm.max_abs()), {"error": err}), error=err)
 
 
-def _check_lifting_axioms(out, rng, bundle, sections, samples, tol, cap):
+def _check_lifting_axioms(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         u = random_section(bundle, rng)
@@ -283,11 +305,8 @@ def _check_lifting_axioms(out, rng, bundle, sections, samples, tol, cap):
             "unital": (vector_lifting(bundle.unit()) - bundle.unit()).norm().max_abs(),
             "positive": 0.0 if (lifting(pos).real_array() >= 0.0).all() else 1.0,
         }
-        for name, err in laws.items():
-            out.max_error = max(out.max_error, err)
-            if err > 1e-12:
-                out.fail({"law": name, "error": err})
-        out.cases += 1
+        yield _case(*[(err > 1e-12, {"law": name, "error": err}) for name, err in laws.items()],
+                    error=max(laws.values()))
 
 
 # --- inversion checks ---
@@ -299,33 +318,27 @@ def _contraction_section(bundle, rng):
     return random_section_with_norm(bundle, rng, profile)
 
 
-def _check_neumann_vs_exact(out, rng, bundle, sections, samples, tol, cap):
+def _check_neumann_vs_exact(rng, bundle, sections, samples, tol, cap):
     e = bundle.unit()
     for _ in range(min(samples, 200)):
         x = _contraction_section(bundle, rng)
         cert = neumann_inverse(x, tol)
         direct = inverse(e - x)
         if isinstance(direct, NotInvertible):
-            out.fail({"law": "exact route invertible"})
+            yield _Evidence(0, failed=[{"law": "exact route invertible"}])
             continue
         gap = (cert.inverse - direct).norm().max_abs()
-        out.max_error = max(out.max_error, gap)
-        if gap > 2.0 * tol:
-            out.fail({"gap": gap})
-        out.cases += 1
+        yield _case((gap > 2.0 * tol, {"gap": gap}), error=gap)
 
 
-def _check_neumann_tail_bound(out, rng, bundle, sections, samples, tol, cap):
+def _check_neumann_tail_bound(rng, bundle, sections, samples, tol, cap):
     for _ in range(min(samples, 200)):
         x = _contraction_section(bundle, rng)
         cert = neumann_inverse(x, tol)
         slack = float(cert.bound_slack.real_array().min())
-        out.max_error = max(out.max_error, -slack)
-        if slack < -1e-9:
-            out.fail({"slack": slack})
-        if float(cert.residual.real_array().max()) > tol:
-            out.fail({"residual": float(cert.residual.real_array().max())})
-        out.cases += 1
+        residual = float(cert.residual.real_array().max())
+        yield _case((slack < -1e-9, {"slack": slack}), (residual > tol, {"residual": residual}),
+                    error=-slack)
 
 
 def _admissible_pair(bundle, rng):
@@ -340,22 +353,15 @@ def _admissible_pair(bundle, rng):
     return x, h
 
 
-def _check_perturbation_bound(out, rng, bundle, sections, samples, tol, cap):
+def _check_perturbation_bound(rng, bundle, sections, samples, tol, cap):
     for _ in range(samples):
         x, h = _admissible_pair(bundle, rng)
-        try:
-            cert = perturbed_inverse(x, h, tol)
-        except AlgebraError as exc:
-            out.fail({"error": str(exc)})
-            continue
+        cert = perturbed_inverse(x, h, tol)
         slack = float(cert.bound_slack.real_array().min())
-        out.max_error = max(out.max_error, -slack)
-        if slack < -1e-9:
-            out.fail({"slack": slack})
-        out.cases += 1
+        yield _case((slack < -1e-9, {"slack": slack}), error=-slack)
 
 
-def _check_inversion_continuity(out, rng, bundle, sections, samples, tol, cap):
+def _check_inversion_continuity(rng, bundle, sections, samples, tol, cap):
     # x_n -> x entails inverse(x_n) -> inverse(x), at the quantitative
     # rate of the perturbation bound.
     for _ in range(min(samples, 25)):
@@ -367,29 +373,22 @@ def _check_inversion_continuity(out, rng, bundle, sections, samples, tol, cap):
             hn = (2.0 ** (-n)) * h
             cert = perturbed_inverse(x, hn, tol)
             diffs.append((cert.inverse - xinv).norm().max_abs())
-        if not all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:])):
-            out.fail({"law": "monotone approach", "diffs": diffs})
-        if diffs[-1] > max(1e-9, diffs[0] * 2.0 ** (-10)):
-            out.fail({"law": "vanishing limit", "diffs": diffs})
-        out.cases += 1
+        yield _case(
+            (not all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:])),
+             {"law": "monotone approach", "diffs": diffs}),
+            (diffs[-1] > max(1e-9, diffs[0] * 2.0 ** (-10)), {"law": "vanishing limit", "diffs": diffs}),
+        )
 
 
-def _check_inversion_mixing(out, rng, bundle, sections, samples, tol, cap):
+def _check_inversion_mixing(rng, bundle, sections, samples, tol, cap):
     space = bundle.space
     for _ in range(min(samples, 100)):
         p = random_partition(space, rng)
         xs = [random_invertible_section(bundle, rng, 0.1) for _ in p]
-        try:
-            mixed_inv = inverse_of_mix(p, xs)
-        except AlgebraError as exc:
-            out.fail({"error": str(exc)})
-            continue
+        mixed_inv = inverse_of_mix(p, xs)
         glued = mix_sections(p, [inverse(x) for x in xs])
         gap = (mixed_inv - glued).norm().max_abs()
-        out.max_error = max(out.max_error, gap)
-        if gap > 1e-10:
-            out.fail({"gap": gap})
-        out.cases += 1
+        yield _case((gap > 1e-10, {"gap": gap}), error=gap)
 
 
 # --- spectrum checks ---
@@ -404,7 +403,7 @@ def _random_selection(table, space, rng) -> EFunction:
     return EFunction(space, np.array(picks, dtype=complex))
 
 
-def _check_membership_crosscheck(out, rng, bundle, sections, samples, tol, cap):
+def _check_membership_crosscheck(rng, bundle, sections, samples, tol, cap):
     # Membership through eigenvalue tables must agree with membership
     # through non-invertibility of a e - x.  Draws avoid the tolerance
     # boundary: either exact selections or generic points.
@@ -427,18 +426,11 @@ def _check_membership_crosscheck(out, rng, bundle, sections, samples, tol, cap):
                 <= tol
                 for av, xv in zip(a.values, x.values)
             )
-            if table_member != sigma_member:
-                out.fail(
-                    {
-                        "table": table_member,
-                        "sigma": sigma_member,
-                    }
-                )
             done += 1
-            out.cases += 1
+            yield _case((table_member != sigma_member, {"table": table_member, "sigma": sigma_member}))
 
 
-def _check_spectrum_scaling(out, rng, bundle, sections, samples, tol, cap):
+def _check_spectrum_scaling(rng, bundle, sections, samples, tol, cap):
     # Membership is stable under the normalizing rescale by (1 + norm)^-1.
     space = bundle.space
     for _ in range(min(samples, 100)):
@@ -449,16 +441,16 @@ def _check_spectrum_scaling(out, rng, bundle, sections, samples, tol, cap):
         ts = spectrum.spectrum_table(xs, tol)
         a = _random_selection(table, space, rng)
         inside = spectrum.selection_spectrum_contains(xs, c * a, tol, table=ts)
-        if not inside:
-            out.fail({"law": "scaled member stays inside"})
         b = random_efunction(space, rng, scale=3.0)
-        if spectrum.selection_spectrum_contains(x, b, tol, table=table) != \
-                spectrum.selection_spectrum_contains(xs, c * b, tol, table=ts):
-            out.fail({"law": "scaling preserves non-members"})
-        out.cases += 1
+        moved = spectrum.selection_spectrum_contains(x, b, tol, table=table) != \
+            spectrum.selection_spectrum_contains(xs, c * b, tol, table=ts)
+        yield _case(
+            (not inside, {"law": "scaled member stays inside"}),
+            (moved, {"law": "scaling preserves non-members"}),
+        )
 
 
-def _check_selection_implies_somewhere(out, rng, bundle, sections, samples, tol, cap):
+def _check_selection_implies_somewhere(rng, bundle, sections, samples, tol, cap):
     # Every atomwise selection is in particular a spectrum member; the
     # reverse containment is not asserted.
     for _ in range(min(samples, 50)):
@@ -466,26 +458,23 @@ def _check_selection_implies_somewhere(out, rng, bundle, sections, samples, tol,
         table = spectrum.spectrum_table(x, tol)
         enum = spectrum.enumerate_selection_spectrum(x, cap=cap, tol=tol, table=table)
         for row in enum.selections[:20]:
-            if not spectrum.spectrum_contains(x, bundle.space.efunction(row), tol, table=table):
-                out.fail({"law": "selection is a member"})
-            out.cases += 1
+            member = spectrum.spectrum_contains(x, bundle.space.efunction(row), tol, table=table)
+            yield _case((not member, {"law": "selection is a member"}))
 
 
-def _check_selection_properties(out, rng, bundle, sections, samples, tol, cap):
+def _check_selection_properties(rng, bundle, sections, samples, tol, cap):
     for _ in range(5):
         x = random_section(bundle, rng)
         report = spectrum.selection_spectrum_properties(
             x, samples=max(10, samples // 10), tol=tol, cap=cap, rng=rng
         )
-        if not report.passed:
-            out.fail({"failures": report.failures})
-        out.cases += 1
+        yield _case((not report.passed, {"failures": report.failures}))
 
 
 # --- representation checks ---
 
 
-def _check_quotient_equality(out, rng, bundle, sections, samples, tol, cap):
+def _check_quotient_equality(rng, bundle, sections, samples, tol, cap):
     pool = list(sections.values()) if sections else []
     for _ in range(min(samples, 50)):
         u = random_section(bundle, rng)
@@ -496,13 +485,10 @@ def _check_quotient_equality(out, rng, bundle, sections, samples, tol, cap):
                 representation.quotient_norm(u, atom)
                 - representation.evaluation_seminorm(u, atom)
             )
-            out.max_error = max(out.max_error, gap)
-            if gap > 1e-10:
-                out.fail({"atom": atom, "gap": gap})
-            out.cases += 1
+            yield _case((gap > 1e-10, {"atom": atom, "gap": gap}), error=gap)
 
 
-def _check_quotient_ideal(out, rng, bundle, sections, samples, tol, cap):
+def _check_quotient_ideal(rng, bundle, sections, samples, tol, cap):
     # The null space of the seminorm at an atom absorbs products.
     space = bundle.space
     for _ in range(min(samples, 100)):
@@ -511,28 +497,23 @@ def _check_quotient_ideal(out, rng, bundle, sections, samples, tol, cap):
         u = random_section(bundle, rng)
         killer = Idempotent.from_atoms(space, [atom]).complement()
         in_ideal = killer * u
-        if not fiber.ideal_contains(in_ideal):
-            out.fail({"law": "projection lands in ideal"})
+        projected = fiber.ideal_contains(in_ideal)
         v = random_section(bundle, rng)
-        if not fiber.ideal_contains(in_ideal * v):
-            out.fail({"law": "ideal absorbs products"})
-        if not fiber.ideal_contains(v * in_ideal):
-            out.fail({"law": "ideal absorbs products (left)"})
-        out.cases += 1
+        yield _case(
+            (not projected, {"law": "projection lands in ideal"}),
+            (not fiber.ideal_contains(in_ideal * v), {"law": "ideal absorbs products"}),
+            (not fiber.ideal_contains(v * in_ideal), {"law": "ideal absorbs products (left)"}),
+        )
 
 
-def _check_reconstruction(out, rng, bundle, sections, samples, tol, cap):
+def _check_reconstruction(rng, bundle, sections, samples, tol, cap):
     pool = list(sections.values()) if sections else []
     while len(pool) < 10:
         pool.append(random_section(bundle, rng))
     rebuilt, report = representation.reconstruct_bundle(pool, rng=rng)
-    out.cases = len(report.checks)
-    out.max_error = max((c.max_error for c in report.checks), default=0.0)
-    if rebuilt.descriptors != bundle.descriptors:
-        out.fail({"law": "fibers match"})
+    yield _case((rebuilt.descriptors != bundle.descriptors, {"law": "fibers match"}), cases=0)
     for c in report.checks:
-        if not c.passed:
-            out.fail({"check": c.name, "error": c.max_error})
+        yield _case((not c.passed, {"check": c.name, "error": c.max_error}), error=c.max_error)
 
 
 def _hk_module_for(bundle):
@@ -543,7 +524,7 @@ def _hk_module_for(bundle):
     return representation.HKModule(bundle.space, dims)
 
 
-def _check_hk_inner_axioms(out, rng, bundle, sections, samples, tol, cap):
+def _check_hk_inner_axioms(rng, bundle, sections, samples, tol, cap):
     module = _hk_module_for(bundle)
     space = bundle.space
     for _ in range(min(samples, 200)):
@@ -556,33 +537,28 @@ def _check_hk_inner_axioms(out, rng, bundle, sections, samples, tol, cap):
         a = random_efunction(space, rng)
         self_prod = representation.hk_inner(x, x)
         scale = max(1.0, self_prod.max_abs())
-        if float(np.abs(self_prod.values.imag).max()) > 1e-12 * scale:
-            out.fail({"law": "self product is real"})
-        if (self_prod.values.real < 0.0).any():
-            out.fail({"law": "positivity"})
         herm = (representation.hk_inner(x, y) - representation.hk_inner(y, x).conj()).max_abs()
         lin = (
             representation.hk_inner(a * x, y) - a * representation.hk_inner(x, y)
         ).max_abs()
         err = max(herm, lin)
-        out.max_error = max(out.max_error, err)
-        if err > 1e-10 * max(1.0, self_prod.max_abs()):
-            out.fail({"law": "hermitian/linear", "error": err})
-        if representation.hk_norm(module.zero()).max_abs() != 0.0:
-            out.fail({"law": "definiteness"})
-        out.cases += 1
+        yield _case(
+            (float(np.abs(self_prod.values.imag).max()) > 1e-12 * scale, {"law": "self product is real"}),
+            ((self_prod.values.real < 0.0).any(), {"law": "positivity"}),
+            (err > 1e-10 * max(1.0, self_prod.max_abs()), {"law": "hermitian/linear", "error": err}),
+            (representation.hk_norm(module.zero()).max_abs() != 0.0, {"law": "definiteness"}),
+            error=err,
+        )
 
 
-def _check_hk_operator_norms(out, rng, bundle, sections, samples, tol, cap):
+def _check_hk_operator_norms(rng, bundle, sections, samples, tol, cap):
     module = _hk_module_for(bundle)
     opbundle, report = representation.operator_algebra(
         module, operators=3, samples=10_000, tol=1e-6, rng=rng
     )
-    out.cases = report.operators * len(bundle.space)
-    out.max_error = max(report.max_gap, report.max_overshoot)
-    if not report.passed:
-        for f in report.failures[:5]:
-            out.fail(f)
+    failed = [] if report.passed else report.failures[:5]
+    error = max(report.max_gap, report.max_overshoot)
+    yield _Evidence(report.operators * len(bundle.space), error, failed)
     # the operator bundle acts contractively: norm(T x) <= norm(T) norm(x)
     for _ in range(min(samples, 100)):
         t = random_section(opbundle, rng)
@@ -592,54 +568,48 @@ def _check_hk_operator_norms(out, rng, bundle, sections, samples, tol, cap):
         lhs = representation.hk_norm(representation.apply_operator(t, x)).real_array()
         rhs = (t.norm() * representation.hk_norm(x)).real_array()
         gap = float((lhs - rhs).max())
-        if gap > 1e-9 * max(1.0, float(rhs.max())):
-            out.fail({"law": "operator bound", "gap": gap})
-        out.cases += 1
+        yield _case((gap > 1e-9 * max(1.0, float(rhs.max())), {"law": "operator bound", "gap": gap}))
 
 
 # --- hypothesis checker checks ---
 
 
-def _check_unit_support_verdict(out, rng, bundle, sections, samples, tol, cap):
+def _check_unit_support_verdict(rng, bundle, sections, samples, tol, cap):
     verdict = gelfand_mazur.check_unit_support_hypothesis(
         bundle, samples=max(20, samples // 10), tol=tol, rng=rng
     )
-    out.cases = verdict.checks_run
-    scalar_like = bundle.is_scalar_like()
-    if scalar_like and verdict.outcome != "isomorphic":
-        out.fail({"expected": "isomorphic", "got": verdict.outcome})
-    if not scalar_like and verdict.outcome != "counterexample":
-        out.fail({"expected": "counterexample", "got": verdict.outcome})
-    if verdict.outcome == "counterexample":
-        w = verdict.witness
-        if w is None or not gelfand_mazur.is_unit_support_witness(w, tol):
-            out.fail({"law": "witness replays"})
-    out.detail = verdict.outcome
+    expected = "isomorphic" if bundle.is_scalar_like() else "counterexample"
+    w = verdict.witness
+    yield _case(
+        (verdict.outcome != expected, {"expected": expected, "got": verdict.outcome}),
+        (verdict.outcome == "counterexample"
+         and (w is None or not gelfand_mazur.is_unit_support_witness(w, tol)),
+         {"law": "witness replays"}),
+        cases=verdict.checks_run, note=verdict.outcome,
+    )
 
 
-def _check_reverse_bound_verdict(out, rng, bundle, sections, samples, tol, cap):
+def _check_reverse_bound_verdict(rng, bundle, sections, samples, tol, cap):
     verdict = gelfand_mazur.check_reverse_bound_hypothesis(
         bundle, samples=max(20, samples // 10), tol=tol, rng=rng
     )
-    out.cases = verdict.checks_run
     scalar_like = bundle.is_scalar_like()
+    expected = "isomorphic" if scalar_like else "counterexample"
     if scalar_like:
-        if verdict.outcome != "isomorphic":
-            out.fail({"expected": "isomorphic", "got": verdict.outcome})
         # a certified m glues along its level partition
-        m = bundle.space.ones()
         cert = gelfand_mazur.certify_reverse_bound(
-            bundle, m, samples=max(20, samples // 10), tol=tol, rng=rng
+            bundle, bundle.space.ones(), samples=max(20, samples // 10), tol=tol, rng=rng
         )
-        if not cert.passed or cert.glued_bound is None:
-            out.fail({"law": "constant bound certifies"})
+        law = (not cert.passed or cert.glued_bound is None, {"law": "constant bound certifies"})
     else:
-        if verdict.outcome != "counterexample":
-            out.fail({"expected": "counterexample", "got": verdict.outcome})
         pair = verdict.witness_pair
-        if pair is not None and not gelfand_mazur.is_zero_divisor_witness(*pair, verdict.localizing):
-            out.fail({"law": "witness pair replays"})
-    out.detail = verdict.outcome
+        replays = pair is None or gelfand_mazur.is_zero_divisor_witness(*pair, verdict.localizing)
+        law = (not replays, {"law": "witness pair replays"})
+    yield _case(
+        (verdict.outcome != expected, {"expected": expected, "got": verdict.outcome}),
+        law,
+        cases=verdict.checks_run, note=verdict.outcome,
+    )
 
 
 # The suite, in report order: each check's name is its report entry and
@@ -686,14 +656,12 @@ def run_verification(
 
     ``sections`` (named, e.g. from a scenario file) join the random pool
     where that makes sense.  Same seed, same report, bit for bit.  A
-    check that evaluated no case fails: a pass needs evidence.
+    check that evaluated no case fails: a pass needs evidence, and a
+    check that raised an ``AlgebraError`` fails with its message.
     """
     sections = dict(sections or {})
     report = VerificationReport(seed=seed, samples=samples, tolerance=tol)
     for name, check in _CHECKS.items():
-        out = CheckOutcome(name, True, 0)
-        check(out, derive_rng(seed, name), bundle, sections, samples, tol, cap)
-        if out.cases == 0:
-            out.fail({"law": "at least one case evaluated"})
-        report.checks.append(out)
+        evidence = check(derive_rng(seed, name), bundle, sections, samples, tol, cap)
+        report.checks.append(_outcome(name, evidence))
     return report

@@ -33,7 +33,7 @@ from bkbundle.sampling import (
     random_section_with_norm,
 )
 from bkbundle.scenario import decode_section, load_scenario
-from bkbundle.verification import CheckOutcome, _check_fiber_submultiplicative
+from bkbundle.verification import _check_fiber_submultiplicative, _outcome
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FLAGS = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
@@ -179,8 +179,10 @@ def test_fiber_submultiplicative_stacks_each_matrix_kind(monkeypatch, samples, b
     space = AtomicMeasureSpace.from_weights({f"w{i}": 1.0 for i in range(len(kinds))})
     bundle = Bundle(space, kinds)
     calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
-    out = CheckOutcome("fiber-submultiplicative", True, 0)
-    _check_fiber_submultiplicative(out, derive_rng(0, "x"), bundle, {}, samples, 1e-8, 4096)
+    out = _outcome(
+        "fiber-submultiplicative",
+        _check_fiber_submultiplicative(derive_rng(0, "x"), bundle, {}, samples, 1e-8, 4096),
+    )
     assert stacked_calls(calls) == [(3 * b, n, n) for n in (3, 5) for b in blocks]
     assert out.passed
     assert out.cases == len(kinds) * max(samples, 1000)
