@@ -43,7 +43,7 @@ import numpy as np
 
 from .bundle import Bundle, Section
 from .errors import CertificationError, MismatchError, PreconditionError
-from .fibers import DEFAULT_TOL, FiberDescriptor, FiberElement
+from .fibers import DEFAULT_TOL, FiberElement
 from .inversion import _check_tolerance, is_invertible
 from .measure import EFunction, Idempotent, PartitionOfUnity, mix
 from .sampling import as_rng, random_section
@@ -125,12 +125,6 @@ def _multi_dim_part(bundle: Bundle) -> Idempotent:
     return Idempotent(bundle.space, mask)
 
 
-def _coordinate(descriptor: FiberDescriptor, k: int) -> FiberElement:
-    values = np.zeros(descriptor.size)
-    values[k] = 1.0
-    return FiberElement(descriptor, values)
-
-
 def unit_support_probe(bundle: Bundle) -> Section:
     """A norm-one section that is not invertible on the part of the base
     where the fiber has dimension > 1.
@@ -139,15 +133,13 @@ def unit_support_probe(bundle: Bundle) -> Section:
     first coordinate indicator e_0: both have norm exactly 1 and smallest
     singular value exactly 0.  One-dimensional fibers get the unit.
     """
-    values = []
-    for d in bundle.descriptors:
-        if d.dim == 1:
-            values.append(FiberElement.unit(d))
-        elif d.kind == "matrix":
-            values.append(FiberElement.matrix_unit(d.size, 0, 0))
-        else:
-            values.append(_coordinate(d, 0))
-    return Section(bundle, values)
+    return Section(
+        bundle,
+        [
+            FiberElement.unit(d) if d.dim == 1 else FiberElement.basis(d, 0)
+            for d in bundle.descriptors
+        ],
+    )
 
 
 def is_unit_support_witness(witness: Section, tol: float) -> bool:
@@ -169,9 +161,9 @@ def zero_divisor_probe(bundle: Bundle) -> tuple[Section, Section]:
         if not d.has_zero_divisors():
             x = y = FiberElement.zero(d)
         elif d.kind == "matrix":
-            x = y = FiberElement.matrix_unit(d.size, 0, 1)
+            x = y = FiberElement.basis(d, 1)
         else:
-            x, y = _coordinate(d, 0), _coordinate(d, 1)
+            x, y = FiberElement.basis(d, 0), FiberElement.basis(d, 1)
         xs.append(x)
         ys.append(y)
     return Section(bundle, xs), Section(bundle, ys)
@@ -402,12 +394,12 @@ def bound_partition(m: EFunction) -> BoundPartition:
         raise PreconditionError(
             f"a reverse bound must be >= 1; fails at atom {atom!r}", atom=atom
         )
-    levels_per_atom = np.floor(np.maximum(arr, 1.0)).astype(int)
-    levels = sorted(set(int(v) for v in levels_per_atom))
-    parts = [
-        Idempotent(m.space, levels_per_atom == level) for level in levels
-    ]
-    return BoundPartition(PartitionOfUnity(parts), tuple(levels))
+    # The floors stay floats: a cast to a fixed-width integer would wrap
+    # a candidate at or above 2**63.  Python ints hold any floor exactly.
+    floors = np.floor(np.maximum(arr, 1.0))
+    levels = sorted(set(floors.tolist()))
+    parts = [Idempotent(m.space, floors == level) for level in levels]
+    return BoundPartition(PartitionOfUnity(parts), tuple(int(v) for v in levels))
 
 
 @dataclass
@@ -437,8 +429,10 @@ def certify_reverse_bound(
     with level n the constant bound n + 1 dominates the candidate, and
     the sampled inequality ``norm(x) norm(y) <= (n + 1) norm(x y)`` is
     tested pointwise there.  When every part passes, the per-part
-    constants glue to a single certified bound function.
+    constants glue to a single certified bound function.  Raises
+    ``PreconditionError`` when ``tol < 0`` or NaN.
     """
+    _check_tolerance(tol)
     if m.space != bundle.space:
         raise MismatchError("bound and bundle live over different spaces")
     rng = as_rng(rng)

@@ -87,13 +87,15 @@ def _strict_contraction_order(r: float, tol: float) -> int:
 def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     """Certified inverse of ``e - x`` by summing the geometric series.
 
-    Requires ``x.norm() < 1`` strictly at every atom.  The required
-    order N is chosen atomwise from the tail bound and the maximum is
-    used for all atoms; orders beyond 10**6 are refused.  The partial sum
+    Requires ``tol > 0`` and ``x.norm() < 1`` strictly at every atom.  The
+    required order N is chosen atomwise from the tail bound and the maximum
+    is used for all atoms; orders beyond 10**6 are refused.  The partial sum
     is formed by repeated squaring, (e + x)(e + x^2)(e + x^4)..., until
     the highest power summed, 2^k - 1, reaches N: about 2 log2(N)
     section products instead of N.
     """
+    if not tol > 0.0:
+        raise PreconditionError(f"tolerance must be > 0, got {tol!r}")
     bundle = x.bundle
     space = bundle.space
     r = x.norm()
@@ -177,12 +179,14 @@ def is_invertible(x: Section, tol: float = SIGMA_TOL) -> bool:
 def perturbed_inverse(x: Section, h: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     """Certified inverse of ``x + h`` for a small perturbation ``h``.
 
-    Requires ``x`` invertible and ``2 * norm(h) * norm(x^{-1}) < 1`` at
-    every atom.  Writes ``x + h = (e + h x^{-1}) x`` and inverts the
+    Requires ``tol > 0``, ``x`` invertible and ``2 * norm(h) * norm(x^{-1})
+    < 1`` at every atom.  Writes ``x + h = (e + h x^{-1}) x`` and inverts the
     bracket with the geometric series, so the result is
     ``x^{-1} * (e + h x^{-1})^{-1}``.  The certificate's ``achieved``
     and ``bound`` are the two sides of the perturbation inequality above.
     """
+    if not tol > 0.0:
+        raise PreconditionError(f"tolerance must be > 0, got {tol!r}")
     if h.bundle != x.bundle:
         raise PreconditionError("x and h live over different bundles")
     space = x.bundle.space

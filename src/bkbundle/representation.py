@@ -350,17 +350,13 @@ def apply_operator(t: Section, x: HKElement) -> HKElement:
         raise MismatchError("operator and element live over different spaces")
     out = []
     for d, op, v in zip(x.module.dims, t.values, x.vectors):
-        if op.descriptor.kind == "scalar":
-            if d != 1:
-                raise MismatchError("scalar operator on a non-scalar fiber")
-            out.append(np.array([complex(op.data) * v[0]]))
-        elif op.descriptor.kind == "matrix" and op.descriptor.size == d:
-            out.append(op.data @ v)
-        else:
+        # a scalar operator is the 1 x 1 matrix it equals
+        if op.descriptor.kind == "function" or op.descriptor.dim != d * d:
             raise MismatchError(
                 f"operator fiber {op.descriptor.label()} does not act on "
                 f"dimension {d}"
             )
+        out.append(op.data.reshape(d, d) @ v)
     return HKElement(x.module, out)
 
 
@@ -413,11 +409,7 @@ def operator_algebra(
     for k in range(operators):
         t = random_section(bundle, rng)
         for atom, d, op in zip(module.space.atoms, module.dims, t.values):
-            mat = (
-                np.array([[complex(op.data)]])
-                if op.descriptor.kind == "scalar"
-                else np.array(op.data)
-            )
+            mat = op.data.reshape(d, d)
             upper = op.norm()
 
             draws = rng.standard_normal((samples, d)) + 1j * rng.standard_normal(

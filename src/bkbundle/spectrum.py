@@ -24,6 +24,7 @@ from .errors import MismatchError
 from .fibers import DEFAULT_TOL
 from .measure import EFunction
 from .sampling import as_rng, random_partition
+from .scenario import encode_rows
 
 __all__ = [
     "FiberSpectrumTable",
@@ -233,7 +234,7 @@ def selection_spectrum_properties(
     bounded = excess == 0.0
     if not bounded:
         first = rows[(over > 0.0).any(axis=1).argmax()]
-        failures.append({"check": "bounded", "selection": _pairs(space, first)})
+        failures.append({"check": "bounded", "selection": encode_rows(space.atoms, first[None])[0]})
 
     # Cyclic: mixing members along any partition of unity stays inside.
     cyclic = True
@@ -245,7 +246,7 @@ def selection_spectrum_properties(
         mixed = rows[source, atom_index]
         if not (table.distance(mixed) <= tol).all():
             cyclic = False
-            failures.append({"check": "cyclic", "mixed": _pairs(space, mixed)})
+            failures.append({"check": "cyclic", "mixed": encode_rows(space.atoms, mixed[None])[0]})
             break
 
     # Order closed: perturb a member by eps = 2^-40 along a random
@@ -276,8 +277,3 @@ def selection_spectrum_properties(
         samples=samples,
         failures=failures,
     )
-
-
-def _pairs(space, values) -> dict:
-    """A failure witness: atom -> [re, im]."""
-    return {atom: [z.real, z.imag] for atom, z in zip(space.atoms, values)}

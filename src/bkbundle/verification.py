@@ -517,10 +517,7 @@ def _check_reconstruction(rng, bundle, sections, samples, tol, cap):
 
 
 def _hk_module_for(bundle):
-    dims = tuple(
-        d.size if d.kind == "matrix" else 1 if d.kind == "scalar" else min(d.size, 8)
-        for d in bundle.descriptors
-    )
+    dims = tuple(min(d.size, 8) for d in bundle.descriptors)
     return representation.HKModule(bundle.space, dims)
 
 

@@ -58,7 +58,7 @@ def test_section_norm_frozen_case():
     B = Bundle.of(space, {a: FiberDescriptor.matrix(2) for a in space.atoms})
     u = B.section(
         {
-            "p": FiberElement.matrix_unit(2, 0, 1),
+            "p": FiberElement.basis(FiberDescriptor.matrix(2), 1),
             "q": FiberElement.matrix([[3, 0], [0, 1]]),
         }
     )

@@ -46,9 +46,9 @@ def oracle_companion_roots(coeffs):
 
 
 def test_matrix_unit_products():
-    e12 = FiberElement.matrix_unit(2, 0, 1)
-    e21 = FiberElement.matrix_unit(2, 1, 0)
-    e11 = FiberElement.matrix_unit(2, 0, 0)
+    e12 = FiberElement.basis(FiberDescriptor.matrix(2), 1)
+    e21 = FiberElement.basis(FiberDescriptor.matrix(2), 2)
+    e11 = FiberElement.basis(FiberDescriptor.matrix(2), 0)
     assert (e12 * e21 - e11).norm() == 0.0
     assert (e12 * e12).is_zero()
 
@@ -98,7 +98,7 @@ def test_operator_norm_matches_2x2_oracle_on_random_matrices():
 def test_inverse_frozen_cases():
     assert FiberElement.scalar(2.0).inverse().data == pytest.approx(0.5)
 
-    e11 = FiberElement.matrix_unit(2, 0, 0)
+    e11 = FiberElement.basis(FiberDescriptor.matrix(2), 0)
     result = e11.inverse()
     assert isinstance(result, NotInvertible)
     assert not result
@@ -257,3 +257,44 @@ def test_zero_divisor_flags():
     assert not FiberDescriptor.function(1).has_zero_divisors()
     assert FiberDescriptor.matrix(2).has_zero_divisors()
     assert FiberDescriptor.function(2).has_zero_divisors()
+
+
+ONE_DIM = (FiberDescriptor.scalar(), FiberDescriptor.function(1), FiberDescriptor.matrix(1))
+
+
+def _one_dim_elements(z: complex):
+    return [FiberElement(d, np.full(d.shape, z)) for d in ONE_DIM]
+
+
+def test_one_dimensional_kinds_agree():
+    # scalar, function(1) and matrix(1) are the same algebra C; scalar
+    # shares function's pointwise path, so those two agree bitwise
+    rng = derive_rng(0, "fibers", "one-dim")
+    draws = [complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-12, 12) for _ in range(500)]
+    for z in draws + [1e-12, 2e-10, 1e-10, 1e-12j, -2e-10, 0.0]:
+        s, f, m = _one_dim_elements(z)
+        assert s.spectrum() == f.spectrum() == m.spectrum() == (complex(z),)
+        assert s.norm() == f.norm()
+        assert m.norm() == pytest.approx(s.norm(), rel=1e-15, abs=0.0)
+        sig = s.smallest_singular_value()
+        assert f.smallest_singular_value() == sig
+        assert m.smallest_singular_value() == pytest.approx(sig, rel=1e-15, abs=0.0)
+        inverses = [el.inverse() for el in (s, f, m)]
+        assert len({isinstance(inv, NotInvertible) for inv in inverses}) == 1
+        if isinstance(inverses[0], NotInvertible):
+            continue
+        want = complex(inverses[0].data)
+        for inv in inverses[1:]:
+            assert complex(inv.data.reshape(-1)[0]) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_basis_puts_a_single_one_at_a_flat_position():
+    e12 = FiberElement.basis(FiberDescriptor.matrix(3), 5)
+    want = np.zeros((3, 3))
+    want[1, 2] = 1.0
+    assert e12 == FiberElement.matrix(want)
+    e2 = FiberElement.basis(FiberDescriptor.function(4), 2)
+    assert e2 == FiberElement.function([0, 0, 1, 0])
+    for el in (e12, e2):
+        assert el.norm() == 1.0
+        assert el.smallest_singular_value() == 0.0

@@ -149,6 +149,73 @@ def test_bound_partition_rejects_small_m():
     assert err.value.atom == "p"
 
 
+def test_bound_partition_keeps_levels_at_and_above_two_to_the_63():
+    # a cast of the floors to int64 wrapped these levels to -2**63
+    space = AtomicMeasureSpace.from_weights({"p": 1.0, "q": 1.0, "r": 1.0})
+    m = space.efunction({"p": 1e19, "q": 2.5, "r": 2.0**63})
+    bp = bound_partition(m)
+    assert bp.levels == (2, 2**63, 10**19)
+    assert all(type(level) is int for level in bp.levels)
+    assert [part.atoms() for part in bp.partition.parts] == [("q",), ("r",), ("p",)]
+
+
+def test_reverse_bound_command_certifies_a_candidate_above_two_to_the_63():
+    doc = {
+        "space": [{"atom": "w0", "weight": 1.0}, {"atom": "w1", "weight": 1.0}],
+        "fibers": {"w0": {"kind": "scalar"}, "w1": {"kind": "scalar"}},
+        "commands": [
+            {"command": "reverse-bound", "samples": 5, "bound": {"w0": 1e300, "w1": 1.5}}
+        ],
+    }
+    sc = parse_scenario(doc)
+    flags = {"tolerance": 1e-8, "samples": 5, "seed": 0, "cap": 4096}
+    (result,) = execute(sc, sc.commands, flags)["results"]
+    assert result["status"] == "pass"
+    cert = result["detail"]["certificate"]
+    assert cert["passed"]
+    assert cert["glued_bound"] == {"w0": [1e300, 0.0], "w1": [2.0, 0.0]}
+    assert sorted(part["level"] for part in cert["parts"]) == [1, int(1e300)]
+
+
+@pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+def test_certify_reverse_bound_rejects_negative_or_nan_tolerance(tol):
+    # a NaN tolerance passed every part, since worst > nan is False
+    B = make_bundle([FiberDescriptor.matrix(2), FiberDescriptor.scalar()])
+    with pytest.raises(PreconditionError, match="tolerance must be >= 0"):
+        certify_reverse_bound(B, B.space.constant(50.0), samples=5, tol=tol)
+
+
+def test_probes_are_pinned_on_every_kind():
+    B = make_bundle(
+        [
+            FiberDescriptor.scalar(),
+            FiberDescriptor.function(3),
+            FiberDescriptor.matrix(2),
+            FiberDescriptor.matrix(1),
+        ]
+    )
+    one, zero = [1.0, 0.0], [0.0, 0.0]
+    assert encode_section(unit_support_probe(B)) == {
+        "w0": one,
+        "w1": [one, zero, zero],
+        "w2": [one, zero, zero, zero],
+        "w3": [one],
+    }
+    x, y = zero_divisor_probe(B)
+    assert encode_section(x) == {
+        "w0": zero,
+        "w1": [one, zero, zero],
+        "w2": [zero, one, zero, zero],
+        "w3": [zero],
+    }
+    assert encode_section(y) == {
+        "w0": zero,
+        "w1": [zero, one, zero],
+        "w2": [zero, one, zero, zero],
+        "w3": [zero],
+    }
+
+
 def test_certify_reverse_bound_scalar_any_m():
     B = make_bundle([FiberDescriptor.scalar()] * 2)
     m = B.space.efunction({"w0": 1.0, "w1": 3.7})

@@ -111,7 +111,7 @@ def test_exact_inverse_frozen_cases(scalar_bundle, matrix2_bundle):
     mixed_rank = matrix2_bundle.section(
         {
             "a": FiberElement.unit(FiberDescriptor.matrix(2)),
-            "b": FiberElement.matrix_unit(2, 0, 0),
+            "b": FiberElement.basis(FiberDescriptor.matrix(2), 0),
             "c": FiberElement.unit(FiberDescriptor.matrix(2)),
         }
     )
@@ -267,7 +267,7 @@ def test_inverse_of_mix_rejects_singular_member():
     space = AtomicMeasureSpace.from_weights({"p": 1.0, "q": 1.0})
     B = Bundle.of(space, {a: FiberDescriptor.matrix(2) for a in space.atoms})
     singular = B.section(
-        {"p": FiberElement.matrix_unit(2, 0, 0), "q": FiberElement.unit(FiberDescriptor.matrix(2))}
+        {"p": FiberElement.basis(FiberDescriptor.matrix(2), 0), "q": FiberElement.unit(FiberDescriptor.matrix(2))}
     )
     p = PartitionOfUnity.from_labels(space, [0, 1])
     with pytest.raises(PreconditionError):
@@ -322,3 +322,15 @@ def test_negative_or_nan_tolerance_is_a_precondition_error(desc, tol):
     with pytest.raises(PreconditionError, match="tolerance must be >= 0"):
         is_invertible(zero, tol)
     assert isinstance(inverse(zero, 0.0), NotInvertible)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_series_routes_reject_a_tolerance_that_is_not_positive(mixed_bundle, tol):
+    # before the check: "math domain error" or "cannot convert float NaN
+    # to integer", as a bare ValueError
+    rng = derive_rng(0, "inversion", "series-tol")
+    x = random_section_with_norm(mixed_bundle, rng, mixed_bundle.space.constant(0.25))
+    with pytest.raises(PreconditionError, match="tolerance must be > 0"):
+        neumann_inverse(x, tol)
+    with pytest.raises(PreconditionError, match="tolerance must be > 0"):
+        perturbed_inverse(mixed_bundle.unit(), x, tol)

@@ -286,3 +286,34 @@ def test_module_mismatch_rejected():
     y = m2.element({"u": np.array([1, 0, 0])})
     with pytest.raises(MismatchError):
         hk_inner(x, y)
+
+
+def test_scalar_operator_acts_as_the_one_by_one_matrix():
+    space = AtomicMeasureSpace.from_weights({"u": 1.0, "v": 1.0})
+    module = HKModule.of(space, {"u": 1, "v": 1})
+    rng = derive_rng(0, "representation", "scalar-operator")
+    x = module.element({a: rng.standard_normal(1) + 1j * rng.standard_normal(1) for a in "uv"})
+    zs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    scalar_op = Bundle.of(space, FiberDescriptor.scalar()).section(
+        {a: FiberElement.scalar(z) for a, z in zip("uv", zs)}
+    )
+    matrix_op = Bundle.of(space, FiberDescriptor.matrix(1)).section(
+        {a: FiberElement.matrix([[z]]) for a, z in zip("uv", zs)}
+    )
+    got, want = apply_operator(scalar_op, x), apply_operator(matrix_op, x)
+    for g, w in zip(got.vectors, want.vectors):
+        assert g.shape == (1,) and (g == w).all()
+
+
+def test_operator_of_the_wrong_kind_or_size_is_a_mismatch():
+    space = AtomicMeasureSpace.from_weights({"u": 1.0})
+    for dim, descriptor in [
+        (1, FiberDescriptor.function(1)),
+        (3, FiberDescriptor.function(3)),
+        (2, FiberDescriptor.scalar()),
+        (2, FiberDescriptor.matrix(3)),
+    ]:
+        x = HKModule.of(space, {"u": dim}).element({"u": np.ones(dim)})
+        op = Bundle.of(space, descriptor).unit()
+        with pytest.raises(MismatchError, match="does not act on dimension"):
+            apply_operator(op, x)
