@@ -266,11 +266,12 @@ class FiberElement:
         """All eigenvalues (with multiplicity), sorted by (real, imag).
 
         Scalars, function elements and 1 x 1 matrices read their spectra
-        off directly.  Larger matrices go through the characteristic
-        polynomial and a Durand-Kerner root iteration; every returned
-        root is certified against the polynomial with a residual scaled
-        to the polynomial's magnitude, and against the spectral radius
-        bound |lambda| <= norm + tol.
+        off directly.  A larger matrix x returns the diagonal of its Schur
+        form (``linalg.schur``), accepted when the backward error bound
+        delta is at most tol max(1, norm(x)): the values are then exactly
+        the spectrum of some x + E with norm(E) <= delta, so none is
+        missing, each has sigma_min(x - z e) <= delta and
+        |z| <= norm(x) + delta.  Otherwise it raises ConvergenceError.
         """
         if self.descriptor.kind != "matrix" or self.descriptor.size == 1:
             values = [complex(v) for v in self._data.reshape(-1)]
@@ -279,26 +280,14 @@ class FiberElement:
         return tuple(sorted(values, key=lambda z: (z.real, z.imag)))
 
     def _matrix_spectrum(self, tol: float) -> list[complex]:
-        a = self._data
-        norm = self.norm()
-        coeffs = linalg.characteristic_polynomial(a)
-        roots, _, iterations = linalg.polynomial_roots(coeffs, norm + 1.0)
-
-        # Certify every root against det(z I - a).  The residual scale
-        # makes the test mean "root of a relatively perturbed polynomial",
-        # which is what double precision can actually promise.  A NaN
-        # root (overflowed coefficients) fails both comparisons.
-        for z in roots:
-            powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
-            scale = max(1.0, float((np.abs(coeffs) * powers).sum()))
-            residual = abs(complex(np.polyval(coeffs, z)))
-            if not (residual <= tol * scale and abs(z) <= norm + tol):
-                raise ConvergenceError(
-                    f"eigenvalue iteration failed certification after "
-                    f"{iterations} iterations",
-                    partial=[complex(z) for z in roots],
-                )
-        return [complex(z) for z in roots]
+        _, t, delta = linalg.schur(self._data)
+        values = t.diagonal().tolist()
+        bound = tol * max(1.0, self.norm())
+        if not delta <= bound:
+            raise ConvergenceError(
+                f"Schur backward error {delta:.3e} exceeds {bound:.3e}", partial=values
+            )
+        return values
 
     # --- misc ---
 

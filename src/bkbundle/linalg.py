@@ -1,22 +1,16 @@
 """Dense complex linear algebra kernels for small matrix fibers.
 
-Everything here operates on plain numpy arrays of shape (n, n) with
-n <= 8; ``singular_values`` also takes a (k, n, n) stack.  The routines
-favour reproducible, certifiable behaviour over raw speed: singular
-values come from one-sided Jacobi that rotates the disjoint column pairs
-of every matrix in a stack in one set of numpy operations, with each
-matrix's values bitwise the same alone or inside any stack; the
-Hermitian eigensolver is a cyclic Jacobi iteration; a general spectrum
-goes through the characteristic polynomial and a Durand-Kerner
-simultaneous root iteration; inversion is Gauss-Jordan elimination with
-partial pivoting.  A numpy operation on one small matrix costs about a
-microsecond whatever its size, so the column sweep pays off on stacks,
-and ``operator_norm`` of one matrix up to GRAM_ROUTE_MAX_DIM keeps the
-faster Gram route.
+Plain numpy arrays of shape (n, n) with n <= 8, and (k, n, n) stacks for
+``singular_values``.  Two iterations: one-sided Jacobi for the singular
+values of a whole stack in one set of numpy operations, and the Schur
+form of one matrix by shifted QR on Python complex scalars, which gives
+every eigenvalue with a bound on its backward error.  Inversion is
+Gauss-Jordan elimination with partial pivoting.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -25,117 +19,150 @@ import numpy as np
 from .errors import CertificationError, ConvergenceError
 
 __all__ = [
-    "frobenius",
-    "hermitian_eigenvalues",
-    "hermitian_eigensystem",
-    "singular_values",
-    "operator_norm",
-    "smallest_singular_value",
-    "characteristic_polynomial",
-    "polynomial_roots",
-    "gauss_jordan_inverse",
+    "frobenius", "hermitian_eigenvalues", "hermitian_eigensystem", "schur",
+    "singular_values", "operator_norm", "smallest_singular_value", "gauss_jordan_inverse",
 ]
 
-# Convergence constants for the two iterations.  The Jacobi threshold
-# applies to the off-diagonal Frobenius mass of the matrix scaled to unit
-# Frobenius norm; pure absolute thresholds stall below rounding noise once
-# entries grow past O(1).
-JACOBI_OFF_THRESHOLD = 1e-13
 JACOBI_MAX_SWEEPS = 100
-ROOT_STEP_TOL = 1e-11
-ROOT_MAX_ITER = 500
-_ROOT_START_PHASE = 0.4  # radians; breaks symmetric stalls
 # A column pair whose smaller squared norm (in a matrix scaled to largest
 # entry in [0.5, 1)) lies below this floor rotates but no longer keeps the
 # matrix in the Jacobi sweep: at and above it, |a_pq| and the orthogonality
 # threshold stay clear of the subnormal range, below it rounding noise of a
 # rank-deficient matrix would be chased into underflow.
 COLUMN_FLOOR = 1e-280
-# operator_norm of one matrix up to this size goes through the Gram
-# matrix, which is faster there than a one-matrix column sweep; above it
-# the sweep is faster.
+# operator_norm of one matrix up to this size takes the Gram matrix route,
+# which is faster there than a one-matrix column sweep.
 GRAM_ROUTE_MAX_DIM = 6
+# QR steps allowed per eigenvalue before schur gives up.
+SCHUR_MAX_STEPS = 30
+_EPS = float(np.finfo(float).eps)
 
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.sqrt((np.abs(a) ** 2).sum()))
 
 
-def _off_diagonal_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return frobenius(off)
+def _unit_scale(a: np.ndarray) -> float:
+    """The power of two that takes the largest entry into [0.5, 1), as in ``_sweep``."""
+    _, exponent = math.frexp(float(np.abs(a).max(initial=0.0)))
+    return math.ldexp(1.0, -max(exponent, -1000))
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix: the Schur form of (h + h*) / 2, whose T is diagonal up to
+    rounding.  Column k of the returned matrix belongs to the k-th value."""
+    a = np.asarray(h, dtype=complex)
+    q, t, _ = schur((a + a.conj().T) / 2.0)
+    values = t.diagonal().real
+    order = np.argsort(values)
+    return values[order], q[:, order]
 
-    Cyclic Jacobi iteration with complex rotations.  The input is scaled
-    to unit Frobenius norm first so the off-diagonal threshold is
-    meaningful at any magnitude.  Column k of the returned matrix is the
-    eigenvector for the k-th eigenvalue.
+
+def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Complex Schur form A = Q T Q* of one square matrix, and a bound
+    delta on its backward error.
+
+    After scaling by a power of two, Householder reflectors reduce A to
+    Hessenberg form (a column already reduced is skipped, so triangular
+    input stays triangular), and single-shift QR with Wilkinson shifts
+    and an exceptional shift every 10th step (Golub & Van Loan, 4th ed.,
+    7.5) deflates each subdiagonal entry to exactly 0 once it is at most
+    eps max(|t_kk| + |t_k-1,k-1|, ||A||_F).  delta is ||AQ - QT||_F plus
+    gamma_n+1 times || |A||Q| ||_F + || |Q||T| ||_F (Higham, 2nd ed.,
+    ch. 3), over 1 - ||Q*Q - I||_F: diag(T), with multiplicity, is the
+    spectrum of some A + E with ||E||_2 <= delta.
     """
-    a = np.array(h, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("expected a square matrix")
-    a = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), vecs
+    scale = _unit_scale(a)
+    a = a * scale
+    h, q = _hessenberg(a)
+    fro, hi, steps = frobenius(a), n - 1, 0
+    while hi > 0:
+        lo = hi
+        while lo > 0:
+            if abs(h[lo][lo - 1]) <= _EPS * max(abs(h[lo][lo]) + abs(h[lo - 1][lo - 1]), fro):
+                h[lo][lo - 1] = 0j
+                break
+            lo -= 1
+        if lo == hi:
+            hi, steps = hi - 1, 0
+            continue
+        steps += 1
+        if steps > SCHUR_MAX_STEPS:
+            raise ConvergenceError(f"no eigenvalue deflated in {SCHUR_MAX_STEPS} QR steps")
+        # every 10th step an exceptional shift, else Wilkinson's: the
+        # eigenvalue of the trailing 2 x 2 block nearer to d
+        d, e = h[hi][hi], h[hi][hi - 1]
+        bc, p = h[hi - 1][hi] * e, (h[hi - 1][hi - 1] - d) / 2.0
+        root = cmath.sqrt(p * p + bc)
+        den = max(p + root, p - root, key=abs)
+        shift = d + 0.75 * abs(e) if steps % 10 == 0 else d - bc / den if den else d
+        # explicit QR of the window: H - shift I = G* R, then H <- R G + shift I,
+        # where G_k = [[c, s], [-conj(s), c]] zeroes subdiagonal entry k
+        for k in range(lo, hi + 1):
+            h[k][k] -= shift
+        rotations = []
+        for k in range(lo, hi):
+            top, low = h[k], h[k + 1]
+            x, y = top[k], low[k]
+            r = math.hypot(abs(x), abs(y))
+            if not r:
+                continue
+            c, s = abs(x) / r, (x / abs(x) if x else 1.0) * y.conjugate() / r
+            sc = s.conjugate()
+            for j in range(k, n):
+                x, y = top[j], low[j]
+                top[j] = c * x + s * y
+                low[j] = c * y - sc * x
+            low[k] = 0j
+            rotations.append((k, c, s, sc))
+        for k, c, s, sc in rotations:
+            for row in h[: k + 2] + q:
+                x, y = row[k], row[k + 1]
+                row[k] = c * x + sc * y
+                row[k + 1] = c * y - s * x
+        for k in range(lo, hi + 1):
+            h[k][k] += shift
+    q, t = np.array(q), np.array(h)
+    residual = frobenius(a @ q - q @ t)
+    magnitude = frobenius(np.abs(a) @ np.abs(q)) + frobenius(np.abs(q) @ np.abs(t))
+    gamma = (n + 1) * _EPS / 2.0 / (1.0 - (n + 1) * _EPS / 2.0)
+    drift = frobenius(q.conj().T @ q - np.eye(n))
+    delta = (residual + gamma * magnitude) / (1.0 - drift) if drift < 1.0 else math.inf
+    return q, t / scale, delta / scale
 
-    scale = frobenius(a)
-    if scale == 0.0:
-        return np.zeros(n), vecs
-    a = a / scale
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_mass(a) <= JACOBI_OFF_THRESHOLD:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = apq / mag
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-                a = (a + a.conj().T) / 2.0
-                vecs = vecs @ rot
-    else:
-        raise ConvergenceError(
-            "Jacobi iteration did not reach the off-diagonal threshold "
-            f"within {JACOBI_MAX_SWEEPS} sweeps",
-            partial=np.diag(a).real * scale,
-        )
-
-    values = np.diag(a).real * scale
-    order = np.argsort(values)
-    return values[order], vecs[:, order]
+def _hessenberg(a: np.ndarray) -> tuple[list, list]:
+    """Householder reduction H = Q* A Q, as lists of rows of Python complex numbers."""
+    n = a.shape[0]
+    hq = np.concatenate([a, np.eye(n, dtype=complex)])  # H over Q
+    for k in range(n - 2):
+        x = hq[k + 1 : n, k]
+        if not x[1:].any():
+            continue
+        size = np.abs(x).max()
+        v = x / size
+        v0 = complex(v[0])
+        alpha = -math.sqrt(np.vdot(v, v).real) * (v0 / abs(v0) if v0 else 1.0)
+        v[0] = v0 - alpha
+        w = v.conj() * (2.0 / np.vdot(v, v).real)
+        hq[k + 1 : n, k + 1 :] -= np.outer(v, w @ hq[k + 1 : n, k + 1 :])
+        hq[:, k + 1 :] -= np.outer(hq[:, k + 1 :] @ v, w)
+        hq[k + 1 : n, k] = 0.0
+        hq[k + 1, k] = alpha * size
+    rows = hq.tolist()
+    return rows[:n], rows[n:]
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Dimensions 1 and 2 use the closed-form characteristic polynomial;
-    larger matrices run the Jacobi iteration.
-    """
+    """Ascending real eigenvalues of a Hermitian matrix: closed form at
+    n = 2, :func:`hermitian_eigensystem` otherwise."""
     a = np.asarray(h, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    if n == 2:
+    if a.shape[0] == 2:
         mean = (a[0, 0].real + a[1, 1].real) / 2.0
         disc = math.hypot((a[0, 0].real - a[1, 1].real) / 2.0, abs(a[0, 1]))
         return np.array([mean - disc, mean + disc])
@@ -255,7 +282,7 @@ def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of one matrix.
 
     Up to GRAM_ROUTE_MAX_DIM it is the square root of the top eigenvalue
-    of A* A (closed form at n = 2, Hermitian Jacobi above): the top of
+    of A* A (closed form at n = 2, the Schur form above): the top of
     the Gram spectrum carries no cancellation, and at these sizes that
     route beats a one-matrix column sweep.  Larger matrices take the top
     singular value from :func:`singular_values`.  Both routes first scale
@@ -265,8 +292,7 @@ def operator_norm(a: np.ndarray) -> float:
     m = np.asarray(a, dtype=complex)
     if m.shape[0] > GRAM_ROUTE_MAX_DIM:
         return float(singular_values(m)[-1])
-    _, exponent = math.frexp(float(np.abs(m).max(initial=0.0)))
-    scale = math.ldexp(1.0, -max(exponent, -1000))  # as in _sweep
+    scale = _unit_scale(m)
     m = m * scale
     gram = m.conj().T @ m
     eigs = hermitian_eigenvalues(gram)
@@ -275,69 +301,6 @@ def operator_norm(a: np.ndarray) -> float:
 
 def smallest_singular_value(a: np.ndarray) -> float:
     return float(singular_values(a)[0])
-
-
-def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
-    """Monic coefficients of det(z I - A), highest power first.
-
-    Faddeev-LeVerrier recurrence; exact in rational arithmetic, and at
-    n <= 8 the floating point version stays well conditioned for the
-    moderate norms this package works with.
-    """
-    m = np.asarray(a, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    work = np.zeros_like(m)
-    eye = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        work = m @ (work + coeffs[k - 1] * eye)
-        coeffs[k] = -np.trace(work) / k
-    return coeffs
-
-
-def polynomial_roots(
-    coeffs: np.ndarray,
-    radius: float,
-    max_iter: int = ROOT_MAX_ITER,
-) -> tuple[np.ndarray, bool, int]:
-    """All roots of a monic polynomial by Durand-Kerner iteration.
-
-    ``coeffs`` are monic, highest power first.  Starting points sit on a
-    circle of the given radius with a fixed angular offset.  Returns
-    (roots, step_converged, iterations); multiple roots converge only
-    linearly and may exhaust the cap while already being accurate to far
-    better than any certification tolerance, so callers should certify
-    residuals rather than trust the flag alone.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    if n == 0:
-        return np.zeros(0, dtype=complex), True, 0
-    if abs(c[0] - 1.0) > 1e-12:
-        c = c / c[0]
-    if n == 1:
-        return np.array([-c[1]]), True, 0
-
-    r = max(float(radius), 1e-3)
-    scale = max(1.0, r)
-    angles = 2.0 * np.pi * np.arange(n) / n + _ROOT_START_PHASE
-    z = r * np.exp(1j * angles)
-
-    for iteration in range(1, max_iter + 1):
-        values = np.polyval(c, z)
-        diffs = z[:, None] - z[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        denom = diffs.prod(axis=1)
-        collided = denom == 0.0
-        if collided.any():
-            z = z + collided * (1e-8 + 1e-8j) * scale
-            continue
-        steps = values / denom
-        z = z - steps
-        if float(np.abs(steps).max()) <= ROOT_STEP_TOL * scale:
-            return z, True, iteration
-    return z, False, max_iter
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:

@@ -186,7 +186,8 @@ class SpectrumPropertyReport:
 
     ``table`` holds the per-atom fiber spectra and ``enumeration`` the
     capped selection enumeration the checks ran on.
-    ``norm_bound_excess`` is the largest ``|a| - (norm(x) + tol)`` over
+    ``norm_bound_excess`` is the largest
+    ``|a| - (norm(x) + tol max(1, norm(x)))`` over
     the enumerated selections ``a`` and the atoms, or 0.0 when no
     selection exceeds the bound anywhere.
     """
@@ -227,9 +228,11 @@ def selection_spectrum_properties(
 
     nonempty = len(rows) > 0
 
-    # Bounded: |a| <= norm(x) pointwise, with tolerance for the root
-    # finder's residual.  The witness is the first offending row.
-    over = np.abs(rows) - (x.norm().real_array() + tol)
+    # Bounded: |a| <= norm(x) + tol max(1, norm(x)) pointwise, as each
+    # fiber spectrum's certificate promises.  The witness is the first
+    # offending row.
+    norm = x.norm().real_array()
+    over = np.abs(rows) - (norm + tol * np.maximum(1.0, norm))
     excess = max(0.0, float(over.max()))
     bounded = excess == 0.0
     if not bounded:

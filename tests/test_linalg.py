@@ -5,60 +5,58 @@ place where the bespoke kernels are cross-validated against an independent
 implementation.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bkbundle.errors import CertificationError, ConvergenceError
+from bkbundle.errors import CertificationError
+from bkbundle.fibers import FiberElement
 from bkbundle.linalg import (
-    characteristic_polynomial,
     frobenius,
     gauss_jordan_inverse,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     operator_norm,
-    polynomial_roots,
+    schur,
     singular_values,
     smallest_singular_value,
 )
 from bkbundle.sampling import derive_rng
 
 
+def _numpy_linalg_lines(source: str) -> list[int]:
+    """Lines that import numpy.linalg or read the linalg attribute of np."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
+        else:
+            continue
+        if any(name == "numpy.linalg" or name.startswith("numpy.linalg.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_package_never_uses_numpy_linalg():
+    # numpy.linalg is the tests' independent oracle, never part of the runtime
+    samples = ["import numpy.linalg", "from numpy import linalg", "from numpy.linalg import eig",
+               "import numpy as np\nnp.linalg.eigvals(a)"]
+    assert [_numpy_linalg_lines(src) for src in samples] == [[1], [1], [1], [2]]
+    package = Path(__file__).resolve().parent.parent / "src" / "bkbundle"
+    found = {p.name: _numpy_linalg_lines(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def sorted_by_parts(values):
-    return np.array(sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
-
-
-def test_characteristic_polynomial_matches_numpy_poly():
-    rng = derive_rng(0, "linalg", "charpoly")
-    for trial in range(50):
-        n = int(rng.integers(1, 9))
-        a = random_complex(rng, n)
-        coeffs = characteristic_polynomial(a)
-        oracle = np.poly(a)
-        scale = max(1.0, np.abs(oracle).max())
-        assert np.abs(coeffs - oracle).max() <= 1e-8 * scale
-
-
-def test_polynomial_roots_match_numpy_eigvals():
-    rng = derive_rng(0, "linalg", "roots")
-    for trial in range(50):
-        n = int(rng.integers(2, 9))
-        a = random_complex(rng, n)
-        coeffs = characteristic_polynomial(a)
-        radius = operator_norm(a) + 1.0
-        roots, converged, _ = polynomial_roots(coeffs, radius)
-        assert converged
-        oracle = np.linalg.eigvals(a)
-        got = sorted_by_parts(roots)
-        want = sorted_by_parts(oracle)
-        # eigenvalue condition numbers of random matrices are mild; 1e-6
-        # absolute headroom on top of scale covers the clustered cases
-        scale = max(1.0, np.abs(oracle).max())
-        assert np.abs(got - want).max() <= 1e-6 * scale
 
 
 def test_hermitian_eigenvalues_match_numpy():
@@ -86,6 +84,96 @@ def test_hermitian_eigensystem_reconstructs():
         assert np.abs(recon - h).max() <= 1e-10 * scale
         gram = vecs.conj().T @ vecs
         assert np.abs(gram - np.eye(n)).max() <= 1e-10
+
+
+def assert_same_multiset(got, want, tol):
+    """Every wanted value has its own got value within tol."""
+    got = list(got)
+    assert len(got) == len(want)
+    for z in want:
+        nearest = min(range(len(got)), key=lambda k: abs(got[k] - z))
+        assert abs(got.pop(nearest) - z) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_schur_eigenvalues_match_numpy_eigvals(n):
+    rng = derive_rng(0, "linalg", "schur", str(n))
+    for trial in range(40):
+        a = rng.standard_normal((n, n)) if trial % 2 else random_complex(rng, n)
+        q, t, _ = schur(a)
+        assert np.array_equal(t, np.triu(t))
+        scale = max(1.0, np.linalg.norm(a, 2))
+        assert_same_multiset(t.diagonal(), np.linalg.eigvals(a), 1e-9 * scale)
+        assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14 * n
+
+
+def test_schur_certificate_on_random_matrices():
+    # 2,500 matrices of each size 1..8, complex and real in turn
+    rng = derive_rng(0, "linalg", "schur-certificate")
+    worst = 0.0
+    for n in range(1, 9):
+        for trial in range(2500):
+            a = rng.standard_normal((n, n)) if trial % 2 else random_complex(rng, n)
+            worst = max(worst, schur(a)[2] / max(1.0, np.linalg.norm(a, 2)))
+    assert worst <= 1e-13
+
+
+def jordan(n, lam):
+    return np.diag(np.full(n, lam, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+
+
+def _edge_cases():
+    rng = np.random.default_rng(0)
+    cases = {
+        "zero": np.zeros((4, 4)),
+        "identity": np.eye(5),
+        "cyclic-8": np.roll(np.eye(8), 1, axis=0),
+        "nilpotent-2": np.array([[0.0, 0.5], [0.0, 0.0]]),
+        "1e200-identity": 1e200 * np.eye(2),
+        "random-8-1e38": 1e38 * random_complex(rng, 8),
+    }
+    for n in (3, 5, 8):
+        for lam in (0, 1, 3 + 2j, 10):
+            cases[f"J{n}({lam})"] = jordan(n, lam)
+        cases[f"triangular-{n}"] = np.triu(random_complex(derive_rng(0, "triangular", str(n)), n))
+    return cases
+
+
+EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_schur_edge_cases(name):
+    a = EDGE_CASES[name]
+    q, t, delta = schur(a)
+    norm = np.linalg.norm(a, 2)
+    assert delta <= 1e-13 * max(1.0, norm)
+    assert np.array_equal(t, np.triu(t))
+    if np.array_equal(a, np.triu(a)):
+        # triangular input is never rotated: its diagonal comes back exactly
+        assert sorted(t.diagonal(), key=abs) == sorted(a.diagonal(), key=abs)
+    else:
+        assert_same_multiset(t.diagonal(), np.linalg.eigvals(a), 1e-12 * max(1.0, norm))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("k", [1, -1, 100, -100, 500, -500])
+def test_spectrum_scales_bitwise_by_powers_of_two(n, k):
+    rng = derive_rng(0, "linalg", "power-of-two", str(n))
+    for a in (random_complex(rng, n), rng.standard_normal((n, n)), jordan(n, 2.0) + np.eye(n, k=-1) / 7):
+        got = FiberElement.matrix(2.0**k * a).spectrum()
+        want = FiberElement.matrix(a).spectrum()
+        assert got == tuple(2.0**k * z for z in want)
+
+
+def test_schur_of_a_hermitian_matrix_is_diagonal():
+    rng = derive_rng(0, "linalg", "schur-hermitian")
+    for trial in range(100):
+        n = int(rng.integers(1, 9))
+        a = random_complex(rng, n)
+        h = a + a.conj().T
+        _, t, _ = schur(h)
+        assert np.abs(np.triu(t, 1)).max(initial=0.0) <= 1e-13 * np.linalg.norm(h, 2)
 
 
 def test_singular_values_match_numpy_svd():
@@ -148,15 +236,6 @@ def test_frobenius_matches_numpy():
     rng = derive_rng(0, "linalg", "frobenius")
     a = random_complex(rng, 6)
     assert frobenius(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
-
-
-def test_polynomial_roots_flags_non_convergence():
-    # a radius far too small keeps the iteration away from the roots
-    coeffs = np.array([1.0, 0.0, 0.0, -8.0], dtype=complex)
-    with pytest.raises(ConvergenceError):
-        roots, converged, _ = polynomial_roots(coeffs, radius=1e-9, max_iter=3)
-        if not converged:
-            raise ConvergenceError("root iteration did not settle")
 
 
 def special_matrices(rng, n):

@@ -9,7 +9,7 @@ import pytest
 
 from bkbundle import verification
 from bkbundle.cli import execute
-from bkbundle.scenario import encode_efunction, load_scenario
+from bkbundle.scenario import encode_efunction, load_scenario, parse_scenario
 from bkbundle.spectrum import (
     enumerate_selection_spectrum,
     selection_spectrum_properties,
@@ -23,11 +23,11 @@ TOL = 1e-8
 def _direct(x, cap):
     table = spectrum_table(x, TOL)
     enum = enumerate_selection_spectrum(x, cap=cap, tol=TOL, table=table)
-    bound = x.norm() + TOL
+    norm = x.norm().real_array()
+    bound = norm + TOL * np.maximum(1.0, norm)
     excess = 0.0
     for row in enum.selections:
-        a = x.bundle.space.efunction(row)
-        excess = max(excess, float((abs(a) - bound).real_array().max()))
+        excess = max(excess, float((np.abs(row) - bound).max()))
     return table, enum, excess
 
 
@@ -75,3 +75,64 @@ def test_verify_report_names_follow_the_check_table():
     names = [c["name"] for c in report["results"][0]["detail"]["checks"]]
     assert names == list(verification._CHECKS)
     assert len(names) == len(set(names)) == 26
+
+
+def _one_atom_spectrum(a: np.ndarray) -> dict:
+    """The ``spectrum`` result on a one-atom matrix section."""
+    doc = {
+        "space": [{"atom": "a", "weight": 1.0}],
+        "fibers": {"a": {"kind": "matrix", "size": len(a)}},
+        "sections": {"x": {"a": [[z.real, z.imag] for z in a.ravel().astype(complex)]}},
+    }
+    flags = {"tolerance": TOL, "samples": 50, "seed": 0, "cap": 4096}
+    (result,) = execute(parse_scenario(doc), [{"command": "spectrum", "section": "x"}], flags)["results"]
+    return result
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_large_norm_spectra_pass_the_norm_bound(scale):
+    # the spectral radius of a Hermitian matrix is its norm, so rounding at
+    # this scale used to read as a selection above norm(x) + tol
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert _one_atom_spectrum(scale * (g + g.conj().T))["status"] == "pass"
+
+
+def _jordan(n, lam):
+    return np.diag(np.full(n, lam, dtype=complex)) + np.diag(np.ones(n - 1), 1)
+
+
+def _similar_jordan():
+    s = np.random.default_rng(0).standard_normal((8, 8))
+    return s @ _jordan(8, 10.0) @ np.linalg.inv(s)
+
+
+def _jordan_pair():
+    a = np.zeros((8, 8), dtype=complex)
+    a[:4, :4], a[4:, 4:] = _jordan(4, 10.0), _jordan(4, -10.0)
+    return a
+
+
+DEFECTIVE = {
+    "J8(10)": _jordan(8, 10.0),
+    "J8(3+2i)": _jordan(8, 3 + 2j),
+    "S J8(10) S^-1": _similar_jordan(),
+    "J4(10) + J4(-10)": _jordan_pair(),
+}
+
+
+@pytest.mark.parametrize("name", DEFECTIVE)
+def test_every_spectrum_point_is_an_eigenvalue_of_a_nearby_matrix(name):
+    # each point must have sigma_min(x - z e) <= tol max(1, norm(x)); the
+    # characteristic polynomial's roots of a defective x missed that
+    a = DEFECTIVE[name]
+    result = _one_atom_spectrum(a)
+    assert result["status"] == "pass"
+    points = [complex(re, im) for re, im in result["detail"]["fiber_spectra"]["a"]]
+    assert len(points) == 8
+    tau = TOL * max(1.0, np.linalg.norm(a, 2))
+    for z in points:
+        assert np.linalg.svd(a - z * np.eye(8), compute_uv=False)[-1] <= tau
+    if name == "J4(10) + J4(-10)":
+        assert sum(abs(z + 10.0) <= 1e-6 for z in points) == 4
