@@ -31,7 +31,7 @@ from .errors import (
     NotInvertible,
 )
 
-__all__ = ["FiberDescriptor", "FiberElement", "KINDS", "fill_norms"]
+__all__ = ["FiberDescriptor", "FiberElement", "KINDS", "fill_norms", "smallest_singular_values"]
 
 KINDS = ("scalar", "matrix", "function")
 
@@ -108,7 +108,9 @@ class FiberDescriptor:
 
 class FiberElement:
     """An element of one concrete fiber algebra.  Immutable; its norm is
-    computed on first use and kept."""
+    computed on first use and kept.  The public constructors copy their
+    input and check its shape and finiteness; the results of ``+ - * @``,
+    unary minus and scalar multiplication are checked for finiteness only."""
 
     __slots__ = ("descriptor", "_data", "_norm")
 
@@ -119,12 +121,21 @@ class FiberElement:
                 f"{descriptor.label()} element needs shape {descriptor.shape}, "
                 f"got {arr.shape}"
             )
+        self._set(descriptor, arr)
+
+    def _set(self, descriptor: FiberDescriptor, arr: np.ndarray) -> "FiberElement":
+        """Keep ``arr``, read-only, as the data once it is checked finite."""
         if not np.isfinite(arr).all():
             raise NonFiniteError("fiber element entries must be finite")
         arr.setflags(write=False)
-        self.descriptor = descriptor
-        self._data = arr
-        self._norm = None
+        self.descriptor, self._data, self._norm = descriptor, arr, None
+        return self
+
+    @classmethod
+    def _from_result(cls, descriptor: FiberDescriptor, data) -> "FiberElement":
+        """Wrap a fresh arithmetic result without a copy (``np.asarray`` keeps
+        a 0-d one an ndarray); data from outside goes through ``__init__``."""
+        return object.__new__(cls)._set(descriptor, np.asarray(data))
 
     # --- constructors ---
 
@@ -183,31 +194,31 @@ class FiberElement:
     def __add__(self, other):
         if isinstance(other, FiberElement):
             self._check_descriptor(other)
-            return FiberElement(self.descriptor, self._data + other._data)
+            return self._from_result(self.descriptor, self._data + other._data)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, FiberElement):
             self._check_descriptor(other)
-            return FiberElement(self.descriptor, self._data - other._data)
+            return self._from_result(self.descriptor, self._data - other._data)
         return NotImplemented
 
     def __neg__(self):
-        return FiberElement(self.descriptor, -self._data)
+        return self._from_result(self.descriptor, -self._data)
 
     def __mul__(self, other):
         if isinstance(other, FiberElement):
             self._check_descriptor(other)
             if self.descriptor.kind == "matrix":
-                return FiberElement(self.descriptor, self._data @ other._data)
-            return FiberElement(self.descriptor, self._data * other._data)
+                return self._from_result(self.descriptor, self._data @ other._data)
+            return self._from_result(self.descriptor, self._data * other._data)
         if isinstance(other, numbers.Complex):
-            return FiberElement(self.descriptor, self._data * complex(other))
+            return self._from_result(self.descriptor, self._data * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
-            return FiberElement(self.descriptor, self._data * complex(other))
+            return self._from_result(self.descriptor, self._data * complex(other))
         return NotImplemented
 
     # --- analysis ---
@@ -224,20 +235,21 @@ class FiberElement:
         return self._norm
 
     def smallest_singular_value(self) -> float:
-        if self.descriptor.kind != "matrix":
-            return float(np.abs(self._data).min())
-        return linalg.smallest_singular_value(self._data)
+        return smallest_singular_values([self])[0]
 
-    def inverse(self, tol: float = SIGMA_TOL) -> "FiberElement | NotInvertible":
+    def inverse(
+        self, tol: float = SIGMA_TOL, sigma: float | None = None
+    ) -> "FiberElement | NotInvertible":
         """Multiplicative inverse, or the falsy NotInvertible value.
 
-        Not invertible means: smallest singular value <= tol.  For the
+        Not invertible means: smallest singular value <= tol; a caller that
+        already has that value passes it as ``sigma``.  For the
         matrix kind the result is certified by its left and right
         residuals R, first by frobenius(R) >= norm(R) and by the operator
         norms only when that bound misses ``tol``; a Newton refinement
         step follows each miss, for at most three checks.
         """
-        if self.smallest_singular_value() <= tol:
+        if (self.smallest_singular_value() if sigma is None else sigma) <= tol:
             return NotInvertible()
         # Scalars keep Python's complex division, which seeded reports carry:
         # numpy's 1 / z rounds differently for 26,092 of 100,000 normal z.
@@ -304,6 +316,16 @@ class FiberElement:
         return f"FiberElement({self.descriptor.label()}, {self._data!r})"
 
 
+def _matrix_stacks(elements, least: int = 1) -> list[tuple[list[int], np.ndarray]]:
+    """(positions, stack) for each matrix size with at least ``least`` elements."""
+    groups: dict[int, list[int]] = {}
+    for i, el in enumerate(elements):
+        if el.descriptor.kind == "matrix":
+            groups.setdefault(el.descriptor.size, []).append(i)
+    stacks = [p for p in groups.values() if len(p) >= least]
+    return [(p, np.stack([elements[i]._data for i in p])) for p in stacks]
+
+
 def fill_norms(elements) -> None:
     """Compute the missing norms of the matrix elements of size >= 3.
 
@@ -311,12 +333,18 @@ def fill_norms(elements) -> None:
     ``linalg.singular_values`` as one stack, and each keeps the top value
     as its norm.  A lone element is left to ``norm()``.
     """
-    stacks: dict[int, list[FiberElement]] = {}
-    for el in elements:
-        if el._norm is None and el.descriptor.kind == "matrix" and el.descriptor.size >= 3:
-            stacks.setdefault(el.descriptor.size, []).append(el)
-    for group in stacks.values():
-        if len(group) >= 2:
-            tops = linalg.singular_values(np.stack([el._data for el in group]))[:, -1]
-            for el, top in zip(group, tops.tolist()):
-                el._norm = top
+    pending = [el for el in elements if el._norm is None and el.descriptor.size >= 3]
+    for positions, stack in _matrix_stacks(pending, least=2):
+        for i, top in zip(positions, linalg.singular_values(stack)[:, -1].tolist()):
+            pending[i]._norm = top
+
+
+def smallest_singular_values(elements) -> list[float]:
+    """``smallest_singular_value()`` of each element of a sequence: one
+    ``linalg.singular_values`` stack per matrix size, a lone matrix
+    included, gives bitwise the one-matrix values."""
+    sigmas = [float(np.abs(el._data).min()) for el in elements]
+    for positions, stack in _matrix_stacks(elements):
+        for i, low in zip(positions, linalg.singular_values(stack)[:, 0].tolist()):
+            sigmas[i] = low
+    return sigmas

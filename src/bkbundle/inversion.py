@@ -28,7 +28,7 @@ import numpy as np
 
 from .bundle import Section, mix_sections
 from .errors import CertificationError, NotInvertible, PreconditionError
-from .fibers import DEFAULT_TOL, SIGMA_TOL
+from .fibers import DEFAULT_TOL, SIGMA_TOL, fill_norms, smallest_singular_values
 from .measure import EFunction, PartitionOfUnity
 
 __all__ = [
@@ -92,7 +92,8 @@ def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
     is used for all atoms; orders beyond 10**6 are refused.  The partial sum
     is formed by repeated squaring, (e + x)(e + x^2)(e + x^4)..., until
     the highest power summed, 2^k - 1, reaches N: about 2 log2(N)
-    section products instead of N.
+    section products instead of N.  The residual and tail sections are
+    normed together, one singular value stack per matrix size.
     """
     if not tol > 0.0:
         raise PreconditionError(f"tolerance must be > 0, got {tol!r}")
@@ -130,8 +131,9 @@ def neumann_inverse(x: Section, tol: float = DEFAULT_TOL) -> InverseCertificate:
             power = power * power
     truncation = summed if summed >= order else "exact"
 
-    residual = ((e - x) * total - e).norm()
-    lhs = (total - e).norm()
+    defect, tail = (e - x) * total - e, total - e
+    fill_norms(defect.values + tail.values)
+    residual, lhs = defect.norm(), tail.norm()
     rhs = r * (ones - r).reciprocal()
     slack = rhs - lhs
 
@@ -155,18 +157,14 @@ def _check_tolerance(tol: float):
 def inverse(x: Section, tol: float = SIGMA_TOL) -> Section | NotInvertible:
     """Atomwise exact inverse, or ``NotInvertible`` naming the failing atoms.
 
-    An atom fails exactly when the fiber's smallest singular value is at
-    most ``tol``.  Raises ``PreconditionError`` when ``tol < 0`` or NaN.
+    An atom fails exactly when the fiber's smallest singular value, taken
+    first for all fibers in one stack per matrix size, is at most ``tol``.
+    Raises ``PreconditionError`` when ``tol < 0`` or NaN.
     """
     _check_tolerance(tol)
-    failed = []
-    values = []
-    for atom, v in zip(x.bundle.space.atoms, x.values):
-        inv = v.inverse(tol)
-        if isinstance(inv, NotInvertible):
-            failed.append(atom)
-        else:
-            values.append(inv)
+    sigmas = smallest_singular_values(x.values)
+    values = [v.inverse(tol, sigma=s) for v, s in zip(x.values, sigmas)]
+    failed = [a for a, v in zip(x.bundle.space.atoms, values) if isinstance(v, NotInvertible)]
     if failed:
         return NotInvertible(tuple(failed))
     return Section(x.bundle, values)

@@ -20,7 +20,7 @@ from .errors import CertificationError, ConvergenceError
 
 __all__ = [
     "frobenius", "hermitian_eigenvalues", "hermitian_eigensystem", "schur",
-    "singular_values", "operator_norm", "smallest_singular_value", "gauss_jordan_inverse",
+    "singular_values", "operator_norm", "gauss_jordan_inverse",
 ]
 
 JACOBI_MAX_SWEEPS = 100
@@ -297,10 +297,6 @@ def operator_norm(a: np.ndarray) -> float:
     gram = m.conj().T @ m
     eigs = hermitian_eigenvalues(gram)
     return float(np.sqrt(max(float(eigs[-1]), 0.0)) / scale)
-
-
-def smallest_singular_value(a: np.ndarray) -> float:
-    return float(singular_values(a)[0])
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:

@@ -226,10 +226,11 @@ def _check_fiber_inverse_involution(rng, bundle, sections, samples, tol, cap):
         count = 0
         while count < min(samples, 200):
             a = random_fiber_element(desc, rng)
-            if a.smallest_singular_value() <= 0.05:
+            sigma = a.smallest_singular_value()
+            if sigma <= 0.05:
                 continue
             count += 1
-            inv = a.inverse()
+            inv = a.inverse(sigma=sigma)
             if isinstance(inv, NotInvertible):
                 yield _Evidence(0, failed=[{"kind": kind, "law": "inverse exists"}])
                 continue

@@ -198,7 +198,7 @@ _JSON = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(target=st.sampled_from(_TARGETS), value=_JSON)
 @example(target=("mixed", ("sections", "x", "w0", 0)), value=float("nan"))
 @example(target=("scalar", ("space", 1, "weight")), value=HUGE)

@@ -13,7 +13,7 @@ import pytest
 
 from bkbundle import FiberDescriptor, FiberElement, NotInvertible, linalg
 from bkbundle.fibers import fill_norms
-from bkbundle.errors import MismatchError
+from bkbundle.errors import MismatchError, NonFiniteError
 from bkbundle.sampling import derive_rng, random_fiber_element
 
 KINDS = (
@@ -298,3 +298,58 @@ def test_basis_puts_a_single_one_at_a_flat_position():
     for el in (e12, e2):
         assert el.norm() == 1.0
         assert el.smallest_singular_value() == 0.0
+
+
+# Every arithmetic result, as a function of two operands a and b.
+RESULT_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "neg": lambda a, b: -a,
+    "scale-right": lambda a, b: a * (2.0 - 0.5j),
+    "scale-left": lambda a, b: (2.0 - 0.5j) * a,
+}
+RESULT_KINDS = (FiberDescriptor.scalar(), FiberDescriptor.matrix(3), FiberDescriptor.function(4))
+
+
+@pytest.mark.parametrize("desc", RESULT_KINDS, ids=lambda d: d.label())
+@pytest.mark.parametrize("op", sorted(RESULT_OPS))
+def test_arithmetic_results_are_fresh_read_only_arrays(op, desc):
+    rng = derive_rng(0, "fibers", "result", op, desc.label())
+    a, b = random_fiber_element(desc, rng), random_fiber_element(desc, rng)
+    got = RESULT_OPS[op](a, b)
+    assert type(got.data) is np.ndarray
+    assert got.data.shape == desc.shape and got.data.dtype == complex
+    assert not got.data.flags.writeable
+    assert not np.shares_memory(got.data, a.data)
+    assert not np.shares_memory(got.data, b.data)
+    x, y = a.data, b.data
+    want = {
+        "add": x + y,
+        "sub": x - y,
+        "mul": x @ y if desc.kind == "matrix" else x * y,
+        "neg": -x,
+        "scale-right": x * (2.0 - 0.5j),
+        "scale-left": x * (2.0 - 0.5j),
+    }[op]
+    assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("desc", RESULT_KINDS, ids=lambda d: d.label())
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "scale-right", "scale-left"])
+def test_overflowing_arithmetic_results_raise_non_finite_error(op, desc):
+    # unary minus cannot overflow; every other result here exceeds 1.8e308.
+    # The CLI computes under the same errstate.
+    big = FiberElement(desc, np.full(desc.shape, 1e308))
+    other = -big if op == "sub" else big
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        RESULT_OPS[op](big, other)
+
+
+@pytest.mark.parametrize("desc", RESULT_KINDS, ids=lambda d: d.label())
+def test_public_constructor_copies_its_input(desc):
+    source = np.ones(desc.shape, dtype=complex)
+    el = FiberElement(desc, source)
+    source[...] = 7.0
+    assert not np.shares_memory(el.data, source)
+    assert (el.data == 1.0).all() and not el.data.flags.writeable

@@ -22,7 +22,6 @@ from bkbundle.linalg import (
     operator_norm,
     schur,
     singular_values,
-    smallest_singular_value,
 )
 from bkbundle.sampling import derive_rng
 
@@ -51,6 +50,26 @@ def test_the_package_never_uses_numpy_linalg():
     assert [_numpy_linalg_lines(src) for src in samples] == [[1], [1], [1], [2]]
     package = Path(__file__).resolve().parent.parent / "src" / "bkbundle"
     found = {p.name: _numpy_linalg_lines(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _result_constructor_lines(source: str) -> list[int]:
+    """Lines that read the private ``_from_result`` attribute of anything."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_from_result"
+    ]
+
+
+def test_only_fibers_wraps_unvalidated_results():
+    # FiberElement._from_result skips the copy and the shape check, so data
+    # from any other module must go through the validating constructors
+    assert _result_constructor_lines("FiberElement._from_result(d, x)") == [1]
+    assert _result_constructor_lines("FiberElement(d, x)") == []
+    package = Path(__file__).resolve().parent.parent / "src" / "bkbundle"
+    found = {p.name: _result_constructor_lines(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert found.pop("fibers.py")
     assert len(found) > 10
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -199,7 +218,7 @@ def test_singular_values_resolve_tiny_sigma():
         u, _, vh = np.linalg.svd(a)
         target = np.geomspace(1e-12, 1.0, n)
         b = (u * target) @ vh
-        got = smallest_singular_value(b)
+        got = singular_values(b)[0]
         assert got == pytest.approx(1e-12, abs=1e-15)
 
 
@@ -217,7 +236,7 @@ def test_gauss_jordan_inverse_matches_numpy():
     for trial in range(100):
         n = int(rng.integers(1, 9))
         a = random_complex(rng, n)
-        if smallest_singular_value(a) < 1e-3:
+        if singular_values(a)[0] < 1e-3:
             continue
         got = gauss_jordan_inverse(a)
         want = np.linalg.inv(a)
@@ -309,7 +328,8 @@ def test_small_column_far_from_orthogonal_still_rotates():
     want = numpy_singular_values(a)
     for got in (singular_values(a), singular_values(np.array([a, np.eye(2)]))[0]):
         assert got == pytest.approx(want, rel=1e-6, abs=0.0)
-    assert smallest_singular_value(a) == pytest.approx(1e-20, rel=1e-6, abs=0.0)
+    sigma = FiberElement.matrix(a).smallest_singular_value()
+    assert sigma == pytest.approx(1e-20, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

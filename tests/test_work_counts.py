@@ -1,9 +1,9 @@
 """Work-count guards: the Neumann series takes a logarithmic number of
 section products, a fiber norm is computed once, a well-conditioned
 inverse is certified without operator norms, ``perturb`` inverts once,
-and section norms and verify's fiber sampling hand the singular value
-kernel one stack per matrix size.  Counts come from monkeypatched
-wrappers; nothing here is timed."""
+and section norms, section inverses and verify's fiber sampling hand the
+singular value kernel one stack per matrix size.  Counts come from
+monkeypatched wrappers; nothing here is timed."""
 
 import json
 import math
@@ -15,11 +15,13 @@ import pytest
 import bkbundle.cli
 import bkbundle.inversion
 import bkbundle.linalg
+import bkbundle.verification
 from bkbundle import (
     AtomicMeasureSpace,
     Bundle,
     FiberDescriptor,
     FiberElement,
+    NotInvertible,
     Section,
     inverse,
     neumann_inverse,
@@ -32,8 +34,12 @@ from bkbundle.sampling import (
     random_section,
     random_section_with_norm,
 )
-from bkbundle.scenario import decode_section, load_scenario
-from bkbundle.verification import _check_fiber_submultiplicative, _outcome
+from bkbundle.scenario import decode_section, encode_section, load_scenario, parse_scenario
+from bkbundle.verification import (
+    _check_fiber_inverse_involution,
+    _check_fiber_submultiplicative,
+    _outcome,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FLAGS = {"tolerance": 1e-8, "samples": 500, "seed": 0, "cap": 4096}
@@ -199,3 +205,94 @@ def test_fiber_submultiplicative_stacks_each_matrix_kind(monkeypatch, samples, b
             gap = numpy_norm(desc.kind, ab) - numpy_norm(desc.kind, a) * numpy_norm(desc.kind, b)
             worst = max(worst, gap)
     assert out.max_error == pytest.approx(worst, abs=1e-12)
+
+
+def mixed_inverse_bundle():
+    """matrix(3), matrix(8), matrix(3), matrix(8), matrix(2), scalar, function(4)."""
+    descriptors = [FiberDescriptor.matrix(n) for n in (3, 8, 3, 8, 2)]
+    descriptors += [FiberDescriptor.scalar(), FiberDescriptor.function(4)]
+    space = AtomicMeasureSpace.from_weights({f"w{i}": 1.0 for i in range(len(descriptors))})
+    return Bundle(space, descriptors)
+
+
+def well_conditioned_section(bundle, rng):
+    """Matrix fibers with singular values in [1, 2], other fibers with
+    moduli in [1, 2]."""
+    values = []
+    for d in bundle.descriptors:
+        if d.kind == "matrix":
+            values.append(FiberElement(d, well_conditioned(d.size, rng)))
+        else:
+            phase = np.exp(2j * np.pi * rng.uniform(size=d.shape))
+            values.append(FiberElement(d, rng.uniform(1.0, 2.0, size=d.shape) * phase))
+    return Section(bundle, values)
+
+
+def test_section_inverse_makes_one_kernel_call_per_matrix_size(monkeypatch):
+    bundle = mixed_inverse_bundle()
+    u = well_conditioned_section(bundle, derive_rng(0, "work-counts", "section-inverse"))
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    got = inverse(u)
+    assert sorted(np.shape(args[0]) for args in calls) == [(1, 2, 2), (2, 3, 3), (2, 8, 8)]
+    monkeypatch.undo()
+    # each fiber is bitwise the fiber's own inverse
+    for v, inv in zip(u.values, got.values):
+        assert np.array_equal(inv.data, v.inverse().data)
+
+
+def test_section_inverse_names_the_singular_atoms_with_one_call_per_size(monkeypatch):
+    bundle = mixed_inverse_bundle()
+    u = well_conditioned_section(bundle, derive_rng(0, "work-counts", "singular-atom"))
+    values = list(u.values)
+    rank_deficient = values[3].data.copy()
+    rank_deficient[:, 5] = 2.0 * rank_deficient[:, 1]
+    values[3] = FiberElement.matrix(rank_deficient)
+    u = Section(bundle, values)
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    got = inverse(u)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    want = tuple(a for a, v in zip(bundle.space.atoms, u.values) if not v.inverse())
+    assert isinstance(got, NotInvertible) and got.atoms == want == ("w3",)
+
+
+def test_series_shaped_invert_makes_eight_kernel_calls(monkeypatch):
+    # 8 atoms: scalar, matrix(3), matrix(8), function(64), twice; e - u has
+    # norm 0.9 at every atom, so the command takes the Neumann route.  The
+    # norms of e - u, of the residual and tail sections together, and of the
+    # crosscheck gap take one call per matrix size each; so do the sigma_min
+    # of the exact inverse.
+    kinds = [FiberDescriptor.scalar(), FiberDescriptor.matrix(3),
+             FiberDescriptor.matrix(8), FiberDescriptor.function(64)] * 2
+    atoms = [f"w{i}" for i in range(8)]
+    space = AtomicMeasureSpace.from_weights({a: 1.0 for a in atoms})
+    bundle = Bundle(space, kinds)
+    rng = derive_rng(0, "work-counts", "series")
+    x = random_section_with_norm(bundle, rng, space.constant(0.9))
+    scenario = parse_scenario({
+        "space": [{"atom": a, "weight": 1.0} for a in atoms],
+        "fibers": {a: {"kind": d.kind, "size": d.size} for a, d in zip(atoms, kinds)},
+        "sections": {"u": encode_section(bundle.unit() - x)},
+        "commands": [{"command": "invert", "section": "u", "tolerance": 1e-8}],
+    })
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    report = execute(scenario, scenario.commands, FLAGS)
+    (result,) = report["results"]
+    assert result["status"] == "pass" and result["detail"]["method"] == "neumann"
+    assert len(calls) == 8
+    assert all(np.ndim(args[0]) == 3 for args in calls)
+
+
+def test_fiber_inverse_involution_takes_sigma_min_twice_per_matrix_case(monkeypatch):
+    # one call per draw for the 0.05 rejection, which the first inverse
+    # reuses, and one for the inverse's own inverse
+    space = AtomicMeasureSpace.from_weights({"w0": 1.0})
+    bundle = Bundle(space, [FiberDescriptor.matrix(3)])
+    draws = counting(monkeypatch, bkbundle.verification, "random_fiber_element")
+    calls = counting(monkeypatch, bkbundle.linalg, "singular_values")
+    out = _outcome(
+        "fiber-inverse-involution",
+        _check_fiber_inverse_involution(derive_rng(0, "x"), bundle, {}, 50, 1e-8, 4096),
+    )
+    assert out.passed and out.cases == 50
+    assert len(calls) == len(draws) + out.cases
